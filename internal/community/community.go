@@ -8,6 +8,7 @@ package community
 
 import (
 	"math/rand/v2"
+	"slices"
 
 	"mixtime/internal/graph"
 )
@@ -52,19 +53,24 @@ func CommunityOf(l Labels, v graph.NodeID) []graph.NodeID {
 
 // Modularity returns Newman's modularity Q ∈ [−0.5, 1) of the
 // labeling: the fraction of edges inside communities minus the
-// expectation under the degree-preserving null model.
+// expectation under the degree-preserving null model. Communities are
+// summed in order of first appearance, so one labeling always gives
+// the same bits.
 func Modularity(g *graph.Graph, l Labels) float64 {
 	m2 := float64(2 * g.NumEdges())
 	if m2 == 0 {
 		return 0
 	}
-	inside := map[int32]float64{} // 2×edges within community c
-	degSum := map[int32]float64{}
-	for v := 0; v < g.NumNodes(); v++ {
-		c := l[v]
+	n := g.NumNodes()
+	dense := slices.Clone(l[:n])
+	k := dense.Normalize()
+	inside := make([]float64, k) // 2×edges within community c
+	degSum := make([]float64, k)
+	for v := 0; v < n; v++ {
+		c := dense[v]
 		degSum[c] += float64(g.Degree(graph.NodeID(v)))
 		for _, w := range g.Neighbors(graph.NodeID(v)) {
-			if l[w] == c {
+			if dense[w] == c {
 				inside[c]++
 			}
 		}
@@ -72,13 +78,6 @@ func Modularity(g *graph.Graph, l Labels) float64 {
 	var q float64
 	for c, in := range inside {
 		q += in/m2 - (degSum[c]/m2)*(degSum[c]/m2)
-	}
-	// Communities with no internal edges still contribute the null
-	// term.
-	for c, d := range degSum {
-		if _, ok := inside[c]; !ok {
-			q -= (d / m2) * (d / m2)
-		}
 	}
 	return q
 }
@@ -101,8 +100,12 @@ func LabelPropagation(g *graph.Graph, maxSweeps int, rng *rand.Rand) Labels {
 	for i := range order {
 		order[i] = graph.NodeID(i)
 	}
-	counts := map[int32]int{}
-	var best []int32
+	// Labels stay in [0, n): each vertex starts with its own ID and
+	// only ever copies a neighbor's label. counts is dense and zero
+	// between vertices; seen lists the neighbor labels in adjacency
+	// order, so ties collect in a fixed order.
+	counts := make([]int, n)
+	var seen, best []int32
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		changed := false
@@ -111,13 +114,19 @@ func LabelPropagation(g *graph.Graph, maxSweeps int, rng *rand.Rand) Labels {
 			if len(adj) == 0 {
 				continue
 			}
-			clear(counts)
+			seen = seen[:0]
 			for _, w := range adj {
-				counts[labels[w]]++
+				c := labels[w]
+				if counts[c] == 0 {
+					seen = append(seen, c)
+				}
+				counts[c]++
 			}
 			max := 0
 			best = best[:0]
-			for c, k := range counts {
+			for _, c := range seen {
+				k := counts[c]
+				counts[c] = 0
 				if k > max {
 					max = k
 					best = best[:0]

@@ -3,8 +3,10 @@ package community
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"mixtime/internal/datasets"
 	"mixtime/internal/gen"
 	"mixtime/internal/graph"
 )
@@ -142,5 +144,38 @@ func TestFastMixingGraphHasLowModularity(t *testing.T) {
 	}
 	if qCave < 0.7 {
 		t.Fatalf("caveman Q=%v unexpectedly low", qCave)
+	}
+}
+
+// TestDetectorsRepeatInProcess runs each detector 20 times with one
+// seed in one process: the labels and the modularity bits must repeat
+// exactly, which Go's randomized map iteration order would break.
+func TestDetectorsRepeatInProcess(t *testing.T) {
+	d, err := datasets.ByName("physics-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := d.Generate(0.01, 1)
+	detectors := []struct {
+		name string
+		run  func() Labels
+	}{
+		{"louvain", func() Labels { return Louvain(g, rng(14)) }},
+		{"label-propagation", func() Labels { return LabelPropagation(g, 100, rng(15)) }},
+	}
+	for _, det := range detectors {
+		want := det.run()
+		wantQ := math.Float64bits(Modularity(g, want))
+		for i := 1; i < 20; i++ {
+			got := det.run()
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: repeat %d labels differ", det.name, i)
+				break
+			}
+			if q := math.Float64bits(Modularity(g, got)); q != wantQ {
+				t.Errorf("%s: repeat %d modularity bits %#x, want %#x", det.name, i, q, wantQ)
+				break
+			}
+		}
 	}
 }

@@ -6,9 +6,18 @@ import (
 	"mixtime/internal/graph"
 )
 
+// arc is one weighted edge of Louvain's working multigraph.
+type arc struct {
+	to int32
+	w  float64
+}
+
 // Louvain runs the Louvain method: greedy local modularity moves
 // followed by community aggregation, repeated until modularity stops
 // improving. Returns the flat labeling of the original vertices.
+// Every loop runs in a fixed order — adjacency order, then vertex
+// order — so gain ties resolve the same way on every run and one rng
+// seed gives one labeling.
 func Louvain(g *graph.Graph, rng *rand.Rand) Labels {
 	n := g.NumNodes()
 	labels := make(Labels, n)
@@ -19,25 +28,27 @@ func Louvain(g *graph.Graph, rng *rand.Rand) Labels {
 		return labels
 	}
 
-	// Working multigraph: weighted adjacency with self-loops for
-	// aggregated internal edges.
+	// Working multigraph: weighted adjacency lists, with aggregated
+	// internal edges as self weight. Weights are edge counts, so every
+	// arc weighs at least 1.
 	type wgraph struct {
-		adj  []map[int32]float64
+		adj  [][]arc
 		self []float64 // 2×internal weight
 		deg  []float64 // weighted degree incl. self-loops
 		m2   float64
 	}
 	cur := &wgraph{
-		adj:  make([]map[int32]float64, n),
+		adj:  make([][]arc, n),
 		self: make([]float64, n),
 		deg:  make([]float64, n),
 	}
 	for v := 0; v < n; v++ {
-		cur.adj[v] = make(map[int32]float64, g.Degree(graph.NodeID(v)))
-		for _, w := range g.Neighbors(graph.NodeID(v)) {
-			cur.adj[v][int32(w)] = 1
+		nbrs := g.Neighbors(graph.NodeID(v))
+		cur.adj[v] = make([]arc, len(nbrs))
+		for i, w := range nbrs {
+			cur.adj[v][i] = arc{to: int32(w), w: 1}
 		}
-		cur.deg[v] = float64(g.Degree(graph.NodeID(v)))
+		cur.deg[v] = float64(len(nbrs))
 		cur.m2 += cur.deg[v]
 	}
 	if cur.m2 == 0 {
@@ -50,6 +61,11 @@ func Louvain(g *graph.Graph, rng *rand.Rand) Labels {
 		membership[i] = int32(i)
 	}
 
+	// toComm accumulates the weight from one node to each community;
+	// touched lists the communities with nonzero weight in the order
+	// they were first reached. Both are reset after every use.
+	toComm := make([]float64, n)
+	var touched []int32
 	for level := 0; level < 32; level++ {
 		k := len(cur.adj)
 		comm := make([]int32, k)
@@ -70,23 +86,29 @@ func Louvain(g *graph.Graph, rng *rand.Rand) Labels {
 			moved := false
 			for _, v := range order {
 				cv := comm[v]
-				// Weights from v to each neighboring community.
-				toComm := map[int32]float64{}
-				for u, w := range cur.adj[v] {
-					toComm[comm[u]] += w
+				touched = touched[:0]
+				for _, a := range cur.adj[v] {
+					c := comm[a.to]
+					if toComm[c] == 0 {
+						touched = append(touched, c)
+					}
+					toComm[c] += a.w
 				}
 				commDeg[cv] -= cur.deg[v]
 				bestC := cv
 				bestGain := toComm[cv] - commDeg[cv]*cur.deg[v]/cur.m2
-				for c, w := range toComm {
+				for _, c := range touched {
 					if c == cv {
 						continue
 					}
-					gain := w - commDeg[c]*cur.deg[v]/cur.m2
+					gain := toComm[c] - commDeg[c]*cur.deg[v]/cur.m2
 					if gain > bestGain+1e-12 {
 						bestGain = gain
 						bestC = c
 					}
+				}
+				for _, c := range touched {
+					toComm[c] = 0
 				}
 				commDeg[bestC] += cur.deg[v]
 				if bestC != cv {
@@ -117,32 +139,44 @@ func Louvain(g *graph.Graph, rng *rand.Rand) Labels {
 		for i := range membership {
 			membership[i] = comm[membership[i]]
 		}
+		if nk == k {
+			break // no aggregation happened; fixed point
+		}
 
-		// Phase 2: aggregate.
+		// Phase 2: aggregate, one community at a time with its members
+		// in vertex order.
+		members := make([][]int32, nk)
+		for v, c := range comm {
+			members[c] = append(members[c], int32(v))
+		}
 		next := &wgraph{
-			adj:  make([]map[int32]float64, nk),
+			adj:  make([][]arc, nk),
 			self: make([]float64, nk),
 			deg:  make([]float64, nk),
 			m2:   cur.m2,
 		}
-		for i := range next.adj {
-			next.adj[i] = map[int32]float64{}
-		}
-		for v := 0; v < k; v++ {
-			cv := comm[v]
-			next.self[cv] += cur.self[v]
-			next.deg[cv] += cur.deg[v]
-			for u, w := range cur.adj[v] {
-				cu := comm[int(u)]
-				if cu == cv {
-					next.self[cv] += w // each internal edge seen twice
-				} else {
-					next.adj[cv][cu] += w
+		for c, vs := range members {
+			touched = touched[:0]
+			for _, v := range vs {
+				next.self[c] += cur.self[v]
+				next.deg[c] += cur.deg[v]
+				for _, a := range cur.adj[v] {
+					cu := comm[a.to]
+					if int(cu) == c {
+						next.self[c] += a.w // each internal edge seen twice
+						continue
+					}
+					if toComm[cu] == 0 {
+						touched = append(touched, cu)
+					}
+					toComm[cu] += a.w
 				}
 			}
-		}
-		if nk == k {
-			break // no aggregation happened; fixed point
+			next.adj[c] = make([]arc, len(touched))
+			for i, cu := range touched {
+				next.adj[c][i] = arc{to: cu, w: toComm[cu]}
+				toComm[cu] = 0
+			}
 		}
 		cur = next
 	}

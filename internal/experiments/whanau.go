@@ -48,9 +48,12 @@ func Whanau(cfg Config) ([]WhanauRow, error) {
 	return WhanauContext(context.Background(), cfg, nil)
 }
 
-// WhanauContext is Whanau with cancellation and progress: ctx is
-// checked per source inside the propagation loop (each source costs
-// maxW steps) and each finished dataset reports as a KindDatasetDone.
+// WhanauContext is Whanau with cancellation and progress: sources
+// propagate cfg.BlockSize at a time through one blocked CSR pass per
+// step, ctx is checked per block (each block costs maxW−1 steps), and
+// each finished dataset reports as a KindDatasetDone. Column j of a
+// blocked step is byte-identical to a per-source Step, so the rows do
+// not depend on the block size.
 func WhanauContext(ctx context.Context, cfg Config, obs runner.Observer) ([]WhanauRow, error) {
 	cfg = cfg.WithDefaults()
 	var rows []WhanauRow
@@ -68,8 +71,11 @@ func WhanauContext(ctx context.Context, cfg Config, obs runner.Observer) ([]Whan
 		sources := markov.SampleSources(g, min(cfg.Sources, 100), rng)
 
 		maxW := whanauWalks[len(whanauWalks)-1]
-		// For each source propagate once, reading tail metrics at the
-		// probe lengths.
+		// Propagate each block once, reading every column's tail
+		// metrics at the probe lengths. Blocks run in source order and
+		// columns append in order, so each probe's samples are in
+		// source order and Summarize adds them as a per-source loop
+		// would.
 		type acc struct {
 			tv  []float64
 			sep []float64
@@ -79,29 +85,35 @@ func WhanauContext(ctx context.Context, cfg Config, obs runner.Observer) ([]Whan
 			perW[w] = &acc{}
 		}
 		n := g.NumNodes()
-		p := make([]float64, n)
-		q := make([]float64, n)
-		scratch := make([]float64, n)
-		for si, s := range sources {
+		width := min(cfg.BlockSize, len(sources))
+		pBuf := make([]float64, n*width)
+		qBuf := make([]float64, n*width)
+		scratch := make([]float64, n*width)
+		for lo := 0; lo < len(sources); lo += width {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("experiments: whanau cancelled at %s source %d: %w", name, si, err)
+				return nil, fmt.Errorf("experiments: whanau cancelled at %s source %d: %w", name, lo, err)
 			}
-			for i := range p {
-				p[i] = 0
+			block := sources[lo:min(lo+width, len(sources))]
+			b := len(block)
+			p, q := pBuf[:n*b], qBuf[:n*b]
+			clear(p)
+			for j, s := range block {
+				p[int(s)*b+j] = 1
 			}
-			p[s] = 1
 			for t := 1; t <= maxW; t++ {
 				// After this step, p is the node distribution at t−1
 				// steps... propagate then read: tail of a length-t walk
 				// uses the node distribution after t−1 steps.
 				if t > 1 {
-					chain.Step(q, p, scratch)
+					chain.StepBlock(q, p, b, scratch)
 					p, q = q, p
 				}
 				if a, ok := perW[t]; ok {
-					tv, sep := tailEdgeDistances(g, p)
-					a.tv = append(a.tv, tv)
-					a.sep = append(a.sep, sep)
+					for j := range block {
+						tv, sep := tailEdgeDistances(g, p, b, j)
+						a.tv = append(a.tv, tv)
+						a.sep = append(a.sep, sep)
+					}
 				}
 			}
 		}
@@ -122,14 +134,15 @@ func WhanauContext(ctx context.Context, cfg Config, obs runner.Observer) ([]Whan
 	return rows, nil
 }
 
-// tailEdgeDistances computes, from the node distribution p after w−1
-// steps, the TV distance of the length-w tail-edge distribution to
-// uniform over directed edges, and its separation distance.
-func tailEdgeDistances(g *graph.Graph, p []float64) (tv, sep float64) {
+// tailEdgeDistances computes, from column j of the row-major n×width
+// block p of node distributions after w−1 steps, the TV distance of
+// the length-w tail-edge distribution to uniform over directed edges,
+// and its separation distance.
+func tailEdgeDistances(g *graph.Graph, p []float64, width, j int) (tv, sep float64) {
 	twoM := float64(2 * g.NumEdges())
 	for v := 0; v < g.NumNodes(); v++ {
 		deg := float64(g.Degree(graph.NodeID(v)))
-		perEdge := p[v] / deg // probability of each of v's out tails
+		perEdge := p[v*width+j] / deg // probability of each of v's out tails
 		diff := perEdge - 1/twoM
 		if diff < 0 {
 			tv -= deg * diff

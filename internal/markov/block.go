@@ -441,7 +441,8 @@ func (c *Chain) TraceSampleBlocked(sources []graph.NodeID, maxT, blockSize int) 
 // blocks abort at their next step; the error then wraps ctx.Err().
 // onTrace, if non-nil, is called after each completed block with the
 // cumulative (done, total) source counts — calls are serialized and
-// monotonic, matching the TraceSampleParallelContext contract.
+// monotonic, so observers can report "sources completed" counters
+// without their own locking.
 func (c *Chain) TraceSampleBlockedContext(ctx context.Context, sources []graph.NodeID, maxT, blockSize, workers int, onTrace func(done, total int)) ([]*Trace, error) {
 	total := len(sources)
 	if total == 0 {

@@ -352,44 +352,6 @@ func TestSampleSources(t *testing.T) {
 	}
 }
 
-func TestTraceSampleParallelMatchesSequential(t *testing.T) {
-	g := connectedRandom(200, 300, 21)
-	c := mustChain(t, g)
-	sources := []graph.NodeID{0, 5, 9, 40, 77, 123, 199}
-	seq := c.TraceSample(sources, 30)
-	for _, workers := range []int{0, 1, 2, 4, 16} {
-		par := c.TraceSampleParallel(sources, 30, workers)
-		if len(par) != len(seq) {
-			t.Fatalf("workers=%d: %d traces", workers, len(par))
-		}
-		for i := range seq {
-			if par[i].Source != seq[i].Source {
-				t.Fatalf("workers=%d: trace %d source mismatch", workers, i)
-			}
-			for s := range seq[i].TV {
-				if par[i].TV[s] != seq[i].TV[s] {
-					t.Fatalf("workers=%d: trace %d step %d: %v vs %v",
-						workers, i, s, par[i].TV[s], seq[i].TV[s])
-				}
-			}
-		}
-	}
-}
-
-func TestTraceAllParallel(t *testing.T) {
-	g := complete(30)
-	c := mustChain(t, g)
-	traces := c.TraceAllParallel(10, 4)
-	if len(traces) != 30 {
-		t.Fatalf("%d traces", len(traces))
-	}
-	for i, tr := range traces {
-		if tr == nil || tr.Source != graph.NodeID(i) {
-			t.Fatalf("trace %d wrong", i)
-		}
-	}
-}
-
 func BenchmarkStep10k(b *testing.B) {
 	g := connectedRandom(10_000, 40_000, 1)
 	c, err := New(g)

@@ -15,9 +15,10 @@
 package whanau
 
 import (
+	"cmp"
 	"errors"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"mixtime/internal/graph"
 	"mixtime/internal/walk"
@@ -120,7 +121,7 @@ func Build(g *graph.Graph, cfg Config) (*DHT, error) {
 			e := walk.Endpoint(g, graph.NodeID(v), cfg.W, rng)
 			nd.fingers = append(nd.fingers, record{key: d.keys[e], owner: e})
 		}
-		sort.Slice(nd.fingers, func(i, j int) bool { return nd.fingers[i].key < nd.fingers[j].key })
+		slices.SortFunc(nd.fingers, func(a, b record) int { return cmp.Compare(a.key, b.key) })
 
 		// Successors: sample records and keep those closest after id.
 		cand := make([]record, 0, cfg.SuccessorCandidates)
@@ -128,8 +129,8 @@ func Build(g *graph.Graph, cfg Config) (*DHT, error) {
 			e := walk.Endpoint(g, graph.NodeID(v), cfg.W, rng)
 			cand = append(cand, record{key: d.keys[e], owner: e})
 		}
-		sort.Slice(cand, func(i, j int) bool {
-			return ringDist(nd.id, cand[i].key) < ringDist(nd.id, cand[j].key)
+		slices.SortFunc(cand, func(a, b record) int {
+			return cmp.Compare(ringDist(nd.id, a.key), ringDist(nd.id, b.key))
 		})
 		if len(cand) > cfg.Successors {
 			cand = cand[:cfg.Successors]
@@ -160,7 +161,7 @@ func (d *DHT) Lookup(source graph.NodeID, target Key) (owner graph.NodeID, queri
 	for i, f := range src.fingers {
 		cands[i] = cand{dist: ringDist(f.key, target), idx: i}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].dist < cands[j].dist })
+	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.dist, b.dist) })
 	for _, c := range cands {
 		queries++
 		f := src.fingers[c.idx]
