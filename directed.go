@@ -1,6 +1,8 @@
 package mixtime
 
 import (
+	"context"
+
 	"mixtime/internal/digraph"
 	"mixtime/internal/spectral"
 	"mixtime/internal/trust"
@@ -80,5 +82,5 @@ func WeightedSLEM(g *Graph, w TrustWeights, opt SpectralOptions) (*SpectralEstim
 	if err != nil {
 		return nil, err
 	}
-	return spectral.SLEMOf(op, opt)
+	return spectral.Solve(context.TODO(), op, opt)
 }

@@ -47,7 +47,7 @@
 //	internal/graphio      edge-list / binary graph I/O (gzip-aware)
 //	internal/linalg       dense Jacobi eigensolver, Sturm bisection, vectors
 //	internal/markov       chain, exact propagation, TV/separation distance, traces
-//	internal/spectral     SLEM (power, Lanczos), Sinclair/Cheeger bounds, sweep cut
+//	internal/spectral     SLEM (Lanczos, power fallback), Sinclair/Cheeger bounds, sweep cut
 //	internal/trust        trust-weighted and hesitant walks, weighted SLEM
 //	internal/gen          reference topologies and social-graph generators
 //	internal/datasets     Table-1 synthetic substitutes
@@ -59,7 +59,7 @@
 //	internal/centrality   betweenness, closeness, PageRank, PPR
 //	internal/whanau       Whānau DHT core
 //	internal/stats        CDFs, percentiles
-//	internal/core         the composed Measure/MeasureContext pipeline
+//	internal/core         the composed MeasureContext pipeline (LCC, SLEM, traces)
 //	internal/distmix      simulated distributed estimation: superstep engine,
 //	                      walker-flood mixing/local-mixing estimators (DESIGN.md §11)
 //	internal/runner       experiment registry, parallel runner, observer events

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"mixtime/internal/api"
 	"mixtime/internal/runner"
 	"mixtime/internal/telemetry"
 )
@@ -329,7 +330,7 @@ func TestFingerprintStability(t *testing.T) {
 	// Zero-config normalizes through WithDefaults, so an explicit
 	// default config and an all-zero one fingerprint identically
 	// (except Seed, which defaults never rewrite).
-	zero := runner.Config{Seed: runner.DefaultSeed}
+	zero := runner.Config{Seed: api.DefaultSeed}
 	if Fingerprint("T1", zero) != a {
 		t.Error("WithDefaults-equivalent configs fingerprint differently")
 	}

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"testing"
 
+	"mixtime/internal/api"
 	"mixtime/internal/gen"
-	"mixtime/internal/runner"
 )
 
 func TestMeasureContextPreCancelled(t *testing.T) {
@@ -30,7 +30,7 @@ func TestMeasureContextPreCancelled(t *testing.T) {
 func TestZeroSeedIsUsableAndReproducible(t *testing.T) {
 	g := gen.BarabasiAlbert(200, 3, rngFor(2))
 	measure := func(seed uint64) *Measurement {
-		m, err := Measure(g, Options{Seed: seed, Sources: 15, MaxWalk: 30})
+		m, err := MeasureContext(context.Background(), g, Options{Seed: seed, Sources: 15, MaxWalk: 30})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,13 +64,13 @@ func TestZeroSeedIsUsableAndReproducible(t *testing.T) {
 
 func TestDefaultOptionsCarryCanonicalValues(t *testing.T) {
 	o := DefaultOptions()
-	if o.Sources != runner.DefaultSources || o.MaxWalk != runner.DefaultMaxWalk ||
-		o.SpectralTol != runner.DefaultSpectralTol || o.Seed != runner.DefaultSeed {
-		t.Fatalf("DefaultOptions() = %+v, want the runner canonical defaults", o)
+	if o.Sources != api.DefaultSources || o.MaxWalk != api.DefaultMaxWalk ||
+		o.SpectralTol != api.DefaultSpectralTol || o.Seed != api.DefaultSeed {
+		t.Fatalf("DefaultOptions() = %+v, want the api canonical defaults", o)
 	}
 	// withDefaults fills everything except Seed.
 	d := Options{}.withDefaults()
-	if d.Sources != runner.DefaultSources || d.MaxWalk != runner.DefaultMaxWalk || d.SpectralTol != runner.DefaultSpectralTol {
+	if d.Sources != api.DefaultSources || d.MaxWalk != api.DefaultMaxWalk || d.SpectralTol != api.DefaultSpectralTol {
 		t.Fatalf("withDefaults() = %+v", d)
 	}
 	if d.Seed != 0 {
@@ -81,7 +81,7 @@ func TestDefaultOptionsCarryCanonicalValues(t *testing.T) {
 func TestMeasureReportsProgress(t *testing.T) {
 	g := gen.BarabasiAlbert(200, 3, rngFor(3))
 	stages := map[string]int{}
-	_, err := Measure(g, Options{Sources: 8, MaxWalk: 20,
+	_, err := MeasureContext(context.Background(), g, Options{Sources: 8, MaxWalk: 20,
 		Progress: func(stage string, done, total int) { stages[stage]++ }})
 	if err != nil {
 		t.Fatal(err)

@@ -119,12 +119,7 @@ type Measurement struct {
 	Sources []graph.NodeID
 }
 
-// Measure runs the full methodology on g.
-func Measure(g *graph.Graph, opt Options) (*Measurement, error) {
-	return MeasureContext(context.Background(), g, opt)
-}
-
-// MeasureContext is Measure with cancellation: ctx is threaded into
+// MeasureContext runs the full methodology on g. ctx is threaded into
 // the SLEM iteration and every trace propagation, so a cancelled or
 // expired context aborts the measurement promptly with an error
 // wrapping ctx.Err().

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 func TestMeasureCompleteGraph(t *testing.T) {
-	m, err := Measure(gen.Complete(30), Options{Sources: 30, MaxWalk: 40})
+	m, err := MeasureContext(context.Background(), gen.Complete(30), Options{Sources: 30, MaxWalk: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestMeasureExtractsLCC(t *testing.T) {
 	b.AddEdge(20, 21)
 	b.AddEdge(21, 22)
 	b.AddEdge(22, 20)
-	m, err := Measure(b.Build(), Options{Sources: 5, MaxWalk: 10})
+	m, err := MeasureContext(context.Background(), b.Build(), Options{Sources: 5, MaxWalk: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,17 +65,17 @@ func TestMeasureKeepWholeRequiresConnected(t *testing.T) {
 	b := graph.NewBuilder(0)
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
-	if _, err := Measure(b.Build(), Options{KeepWhole: true}); err == nil {
+	if _, err := MeasureContext(context.Background(), b.Build(), Options{KeepWhole: true}); err == nil {
 		t.Fatal("disconnected KeepWhole accepted")
 	}
-	if _, err := Measure(&graph.Graph{}, Options{}); err == nil {
+	if _, err := MeasureContext(context.Background(), &graph.Graph{}, Options{}); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 }
 
 func TestMeasureSkipFlags(t *testing.T) {
 	g := gen.BarabasiAlbert(200, 3, rngFor(1))
-	m, err := Measure(g, Options{SkipSampling: true})
+	m, err := MeasureContext(context.Background(), g, Options{SkipSampling: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestMeasureSkipFlags(t *testing.T) {
 	if m.SLEM == nil {
 		t.Fatal("spectral skipped unexpectedly")
 	}
-	m2, err := Measure(g, Options{SkipSpectral: true, Sources: 10, MaxWalk: 20})
+	m2, err := MeasureContext(context.Background(), g, Options{SkipSpectral: true, Sources: 10, MaxWalk: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestMeasureSkipFlags(t *testing.T) {
 
 func TestMeasureBruteForceSources(t *testing.T) {
 	g := gen.Complete(25)
-	m, err := Measure(g, Options{Sources: 1000, MaxWalk: 10})
+	m, err := MeasureContext(context.Background(), g, Options{Sources: 1000, MaxWalk: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +112,11 @@ func TestMeasureBruteForceSources(t *testing.T) {
 }
 
 func TestSlowGraphSlowerThanFastGraph(t *testing.T) {
-	fast, err := Measure(gen.BarabasiAlbert(400, 6, rngFor(2)), Options{Sources: 30, MaxWalk: 400})
+	fast, err := MeasureContext(context.Background(), gen.BarabasiAlbert(400, 6, rngFor(2)), Options{Sources: 30, MaxWalk: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := Measure(gen.RelaxedCaveman(40, 10, 0.02, rngFor(3)), Options{Sources: 30, MaxWalk: 400})
+	slow, err := MeasureContext(context.Background(), gen.RelaxedCaveman(40, 10, 0.02, rngFor(3)), Options{Sources: 30, MaxWalk: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestSlowGraphSlowerThanFastGraph(t *testing.T) {
 }
 
 func TestConductanceBoundsSane(t *testing.T) {
-	m, err := Measure(gen.Barbell(12), Options{SkipSampling: true})
+	m, err := MeasureContext(context.Background(), gen.Barbell(12), Options{SkipSampling: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestConductanceBoundsSane(t *testing.T) {
 
 func TestDistancesAtMatchesTraces(t *testing.T) {
 	g := gen.BarabasiAlbert(150, 3, rngFor(4))
-	m, err := Measure(g, Options{Sources: 12, MaxWalk: 30})
+	m, err := MeasureContext(context.Background(), g, Options{Sources: 12, MaxWalk: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package datasets
 
 import (
+	"context"
 	"testing"
 
 	"mixtime/internal/graph"
@@ -111,7 +112,7 @@ func TestMixingCharacterOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := d.Generate(scale, 1)
-		est, err := spectral.SLEM(g, spectral.Options{Tol: 1e-7})
+		est, err := spectral.SLEMContext(context.Background(), g, spectral.Options{Tol: 1e-7})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"mixtime/internal/graph"
 	"mixtime/internal/spectral"
 	"mixtime/internal/telemetry"
 )
@@ -20,10 +19,6 @@ type Options struct {
 	Seed uint64
 	// Workers shards matvecs exactly as spectral.Options.Workers does.
 	Workers int
-	// Method selects the solver: "power" (default) or "lanczos". Both
-	// accept the warm-start vector; power iteration is where the
-	// per-phase iteration split makes the saving directly countable.
-	Method string
 	// Eps is the variation distance for the per-epoch Sinclair bounds
 	// (default 0.1, the paper's headline ε).
 	Eps float64
@@ -94,10 +89,12 @@ func NewTracker(mg *MutableGraph, opt Options) *Tracker {
 	return &Tracker{mg: mg, opt: opt}
 }
 
-// Observe estimates the current epoch's SLEM (warm-started when a
-// previous eigenvector is available) and records the eigenvector for
-// the next call. Safe to call after any number of Apply calls in
-// between; each Observe measures whatever epoch is current.
+// Observe estimates the current epoch's SLEM by power iteration
+// (warm-started when a previous eigenvector is available) and records
+// the eigenvector for the next call. Power iteration splits its
+// iterations between the λ₂ and λ_n phases, which makes the warm-start
+// saving directly countable. Safe to call after any number of Apply
+// calls in between; each Observe measures whatever epoch is current.
 func (t *Tracker) Observe(ctx context.Context) (EpochStat, error) {
 	g, ver := t.mg.Snapshot()
 	sopt := spectral.Options{
@@ -116,7 +113,7 @@ func (t *Tracker) Observe(ctx context.Context) (EpochStat, error) {
 		sopt.Start = start
 	}
 
-	est, err := t.solve(ctx, g, sopt)
+	est, err := spectral.SLEMPowerContext(ctx, g, sopt)
 	if err != nil {
 		return EpochStat{}, fmt.Errorf("evolve: epoch %d (version %d): %w", t.epoch, ver, err)
 	}
@@ -139,7 +136,7 @@ func (t *Tracker) Observe(ctx context.Context) (EpochStat, error) {
 	if t.opt.CompareCold {
 		copt := sopt
 		copt.Start = nil
-		cold, err := t.solve(ctx, g, copt)
+		cold, err := spectral.SLEMPowerContext(ctx, g, copt)
 		if err != nil {
 			return EpochStat{}, fmt.Errorf("evolve: epoch %d cold control: %w", t.epoch, err)
 		}
@@ -150,11 +147,4 @@ func (t *Tracker) Observe(ctx context.Context) (EpochStat, error) {
 	t.prev = est.Vector2
 	t.epoch++
 	return stat, nil
-}
-
-func (t *Tracker) solve(ctx context.Context, g *graph.Graph, opt spectral.Options) (*spectral.Estimate, error) {
-	if t.opt.Method == "lanczos" {
-		return spectral.SLEMLanczosContext(ctx, g, opt)
-	}
-	return spectral.SLEMPowerContext(ctx, g, opt)
 }

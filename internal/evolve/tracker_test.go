@@ -117,36 +117,6 @@ func TestWarmColdConvergedSLEMByteIdentical(t *testing.T) {
 	}
 }
 
-func TestTrackerLanczosMethod(t *testing.T) {
-	mg := NewMutable(grownBase(100, 100, 5))
-	pow := NewTracker(mg, Options{Seed: 5})
-	lan := NewTracker(mg, Options{Seed: 5, Method: "lanczos"})
-	ctx := context.Background()
-	ps, err := pow.Observe(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls, err := lan.Observe(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := math.Abs(ps.Mu - ls.Mu); d > 1e-6 {
-		t.Fatalf("power µ %v vs Lanczos µ %v differ by %g", ps.Mu, ls.Mu, d)
-	}
-	// Lanczos emits a Ritz vector, so its second epoch warm-starts too.
-	g, _ := mg.Snapshot()
-	if _, err := mg.Apply(GrowRandom(g, 15, rand.New(rand.NewPCG(5, 9)))); err != nil {
-		t.Fatal(err)
-	}
-	ls2, err := lan.Observe(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ls2.WarmStarted {
-		t.Fatal("Lanczos epoch 1 not warm-started")
-	}
-}
-
 // TestTrackerBoundsTrajectory checks the per-epoch Sinclair bounds
 // move the way Evolution-of-the-Mixing-Rate predicts: accreting
 // random edges shrinks µ and with it both mixing-time bounds.

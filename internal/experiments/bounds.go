@@ -49,25 +49,16 @@ func boundCurves(ctx context.Context, ds []datasets.Dataset, cfg Config, obs run
 	return out, nil
 }
 
-// Figure1 computes the lower-bound mixing-time curves for the small
-// datasets (wiki-vote, Slashdot 1/2, Facebook, Physics 1–3, Enron,
-// Epinion).
-func Figure1(cfg Config) ([]BoundCurve, error) {
-	return Figure1Context(context.Background(), cfg, nil)
-}
-
-// Figure1Context is Figure1 with cancellation and progress.
+// Figure1Context computes the lower-bound mixing-time curves for the
+// small datasets (wiki-vote, Slashdot 1/2, Facebook, Physics 1–3,
+// Enron, Epinion), with cancellation and progress.
 func Figure1Context(ctx context.Context, cfg Config, obs runner.Observer) ([]BoundCurve, error) {
 	return boundCurves(ctx, datasets.Small(), cfg, obs)
 }
 
-// Figure2 computes the curves for the large datasets (DBLP,
-// Facebook A/B, Livejournal A/B, Youtube).
-func Figure2(cfg Config) ([]BoundCurve, error) {
-	return Figure2Context(context.Background(), cfg, nil)
-}
-
-// Figure2Context is Figure2 with cancellation and progress.
+// Figure2Context computes the curves for the large datasets (DBLP,
+// Facebook A/B, Livejournal A/B, Youtube), with cancellation and
+// progress.
 func Figure2Context(ctx context.Context, cfg Config, obs runner.Observer) ([]BoundCurve, error) {
 	return boundCurves(ctx, datasets.Large(), cfg, obs)
 }

@@ -19,7 +19,7 @@ import (
 // Config scales and seeds an experiment run. It is an alias for
 // runner.Config — the canonical definition lives there so the runner,
 // the drivers and core share one set of defaults (see
-// runner.DefaultScale and friends).
+// api.DefaultScale and friends).
 type Config = runner.Config
 
 // epsGrid is the variation-distance grid the bound figures sweep,

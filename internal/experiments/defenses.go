@@ -108,20 +108,15 @@ func (c DefenseComparisonConfig) withDefaults() DefenseComparisonConfig {
 	return c
 }
 
-// DefenseComparison runs the Viswanath-style head-to-head: under the
-// same attack, rank every node by (a) SybilLimit admission, (b)
-// SybilInfer marginals, (c) personalized PageRank from the verifier
-// (the "connectivity to the trusted node" core Viswanath et al.
-// distilled), (d) SybilRank's early-terminated trust propagation, and
-// (e) sharing the verifier's Louvain community — and compare AUCs. The paper's §2 reports their conclusion that the
-// defenses are community detectors at heart; the AUC table makes the
-// equivalence measurable.
-func DefenseComparison(cfg DefenseComparisonConfig) ([]DefenseRow, error) {
-	return DefenseComparisonContext(context.Background(), cfg, nil)
-}
-
-// DefenseComparisonContext is DefenseComparison with cancellation and
-// progress: ctx is checked per dataset and each finished dataset
+// DefenseComparisonContext runs the Viswanath-style head-to-head:
+// under the same attack, rank every node by (a) SybilLimit admission,
+// (b) SybilInfer marginals, (c) personalized PageRank from the
+// verifier (the "connectivity to the trusted node" core Viswanath et
+// al. distilled), (d) SybilRank's early-terminated trust propagation,
+// and (e) sharing the verifier's Louvain community — and compare
+// AUCs. The paper's §2 reports their conclusion that the defenses are
+// community detectors at heart; the AUC table makes the equivalence
+// measurable. ctx is checked per dataset and each finished dataset
 // reports as a KindDatasetDone.
 func DefenseComparisonContext(ctx context.Context, cfg DefenseComparisonConfig, obs runner.Observer) ([]DefenseRow, error) {
 	cfg = cfg.withDefaults()
@@ -238,15 +233,10 @@ type WhanauRow2 struct {
 	Success float64
 }
 
-// WhanauLookup sweeps the table-building walk length and measures
-// lookup success — the system-level consequence of the §2 critique:
-// Whānau needs walks at the (real) mixing time, not at the assumed
-// O(log n).
-func WhanauLookup(cfg Config) ([]WhanauRow2, error) {
-	return WhanauLookupContext(context.Background(), cfg, nil)
-}
-
-// WhanauLookupContext is WhanauLookup with cancellation and progress.
+// WhanauLookupContext sweeps the table-building walk length and
+// measures lookup success, with cancellation and progress. It is the
+// system-level consequence of the §2 critique: Whānau needs walks at
+// the (real) mixing time, not at the assumed O(log n).
 func WhanauLookupContext(ctx context.Context, cfg Config, obs runner.Observer) ([]WhanauRow2, error) {
 	cfg = cfg.WithDefaults()
 	walks := []int{1, 2, 4, 8, 16, 32, 64}

@@ -64,18 +64,13 @@ func (c DetectionConfig) withDefaults() DetectionConfig {
 	return c
 }
 
-// Detection runs SybilInfer across trace walk lengths on fast- and
-// slow-mixing honest regions. The paper's implication made concrete:
-// with the O(log n) traces the protocol assumes, detection on the
-// slow trust graph is far weaker than on the fast online graph, and
-// it recovers only as the walks approach the real mixing time.
-func Detection(cfg DetectionConfig) ([]DetectionRow, error) {
-	return DetectionContext(context.Background(), cfg, nil)
-}
-
-// DetectionContext is Detection with cancellation and progress: ctx
-// is checked per (dataset, walk length) and each finished dataset
-// reports as a KindDatasetDone.
+// DetectionContext runs SybilInfer across trace walk lengths on fast-
+// and slow-mixing honest regions. The paper's implication made
+// concrete: with the O(log n) traces the protocol assumes, detection
+// on the slow trust graph is far weaker than on the fast online
+// graph, and it recovers only as the walks approach the real mixing
+// time. ctx is checked per (dataset, walk length) and each finished
+// dataset reports as a KindDatasetDone.
 func DetectionContext(ctx context.Context, cfg DetectionConfig, obs runner.Observer) ([]DetectionRow, error) {
 	cfg = cfg.withDefaults()
 	var rows []DetectionRow

@@ -113,11 +113,6 @@ func relErr(est, exact int) float64 {
 	return d / float64(exact)
 }
 
-// DistMixValidation is experiment D1 without cancellation/progress.
-func DistMixValidation(cfg Config) ([]DistMixRow, error) {
-	return DistMixValidationContext(context.Background(), cfg, nil)
-}
-
 // DistMixValidationContext is experiment D1: on every Table-1 dataset,
 // run the simulated distributed estimator (walker floods over
 // ShardPlan partitions) and the exact propagated reference on the same
@@ -251,11 +246,6 @@ type TradeoffRow struct {
 	Messages         int64   `json:"messages"`
 	OffShardMessages int64   `json:"offshard_messages"`
 	OffShardBytes    int64   `json:"offshard_bytes"`
-}
-
-// DistMixTradeoff is experiment D2 without cancellation/progress.
-func DistMixTradeoff(cfg Config) ([]TradeoffRow, error) {
-	return DistMixTradeoffContext(context.Background(), cfg, nil)
 }
 
 // DistMixTradeoffContext is experiment D2: sweep the distributed

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -24,7 +25,7 @@ func TestDistMixValidation(t *testing.T) {
 	cfg := tiny
 	col := telemetry.New()
 	cfg.Collector = col
-	rows, err := DistMixValidation(cfg)
+	rows, err := DistMixValidationContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +68,11 @@ func TestDistMixValidation(t *testing.T) {
 }
 
 func TestDistMixValidationDeterminism(t *testing.T) {
-	a, err := DistMixValidation(tiny)
+	a, err := DistMixValidationContext(context.Background(), tiny, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DistMixValidation(tiny)
+	b, err := DistMixValidationContext(context.Background(), tiny, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestDistMixValidationDeterminism(t *testing.T) {
 }
 
 func TestDistMixTradeoff(t *testing.T) {
-	rows, err := DistMixTradeoff(tiny)
+	rows, err := DistMixTradeoffContext(context.Background(), tiny, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

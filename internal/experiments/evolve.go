@@ -70,11 +70,6 @@ func e1Base(n int, seed uint64) *graph.Graph {
 	return b.Build()
 }
 
-// EvolveGrowth is experiment E1 without cancellation/progress.
-func EvolveGrowth(cfg Config) ([]EvolveGrowthRow, error) {
-	return EvolveGrowthContext(context.Background(), cfg, nil)
-}
-
 // EvolveGrowthContext is experiment E1: grow a random graph edge by
 // edge through the evolve mutation API and track the SLEM trajectory
 // with warm-started power iteration, running a cold-start control at
@@ -197,11 +192,6 @@ type EvolveAttackRow struct {
 	WarmIters   int     `json:"warm_iters"`
 	LowerT      float64 `json:"lower_t"`
 	UpperT      float64 `json:"upper_t"`
-}
-
-// EvolveAttack is experiment E2 without cancellation/progress.
-func EvolveAttack(cfg Config) ([]EvolveAttackRow, error) {
-	return EvolveAttackContext(context.Background(), cfg, nil)
 }
 
 // EvolveAttackContext is experiment E2: wire a Sybil copy of each

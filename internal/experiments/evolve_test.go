@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ func evolveTestConfig() Config {
 // cold-start control at the same tolerance, with both solves agreeing
 // on the answer.
 func TestEvolveGrowthTrajectory(t *testing.T) {
-	rows, err := EvolveGrowth(evolveTestConfig())
+	rows, err := EvolveGrowthContext(context.Background(), evolveTestConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestEvolveGrowthTrajectory(t *testing.T) {
 // the honest baseline) and accreting attack edges walks µ back down
 // toward the baseline.
 func TestEvolveAttackDegradation(t *testing.T) {
-	rows, err := EvolveAttack(evolveTestConfig())
+	rows, err := EvolveAttackContext(context.Background(), evolveTestConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

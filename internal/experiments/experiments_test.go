@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ import (
 var tiny = Config{Scale: 0.0002, Seed: 1, Sources: 25, MaxWalk: 120, SpectralTol: 1e-6}
 
 func TestTable1(t *testing.T) {
-	rows, err := Table1(tiny)
+	rows, err := Table1Context(context.Background(), tiny, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,14 +36,14 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFigure1And2(t *testing.T) {
-	small, err := Figure1(tiny)
+	small, err := Figure1Context(context.Background(), tiny, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(small) != 9 {
 		t.Fatalf("%d small curves, want 9", len(small))
 	}
-	large, err := Figure2(tiny)
+	large, err := Figure2Context(context.Background(), tiny, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestFigure1And2(t *testing.T) {
 }
 
 func TestFigure3And4(t *testing.T) {
-	rows3, err := Figure3(tiny)
+	rows3, err := Figure3Context(context.Background(), tiny, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestFigure3And4(t *testing.T) {
 			}
 		}
 	}
-	rows4, err := Figure4(tiny)
+	rows4, err := Figure4Context(context.Background(), tiny, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestFigure3And4(t *testing.T) {
 }
 
 func TestFigure5(t *testing.T) {
-	curves, err := Figure5(tiny)
+	curves, err := Figure5Context(context.Background(), tiny, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestFigure5(t *testing.T) {
 func TestFigure6(t *testing.T) {
 	cfg := tiny
 	cfg.Scale = 0.002 // the DBLP substitute needs headroom for 5 trim levels
-	rows, err := Figure6(cfg)
+	rows, err := Figure6Context(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestFigure6(t *testing.T) {
 func TestFigure7(t *testing.T) {
 	cfg := tiny
 	cfg.Scale = 0.001
-	panels, err := Figure7(cfg)
+	panels, err := Figure7Context(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestFigure7(t *testing.T) {
 
 func TestFigure8(t *testing.T) {
 	cfg := Fig8Config{Config: tiny, Nodes: 350, R0: 3, Walks: []int{1, 6, 14}}
-	curves, err := Figure8(cfg)
+	curves, err := Figure8Context(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestFigure8(t *testing.T) {
 func TestSybilAttack(t *testing.T) {
 	cfg := SybilAttackConfig{Config: tiny, Nodes: 300, SybilNodes: 80,
 		AttackEdges: 5, R0: 2, Walks: []int{2, 8, 16}}
-	rows, err := SybilAttack(cfg)
+	rows, err := SybilAttackContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestSybilAttack(t *testing.T) {
 }
 
 func TestWhanau(t *testing.T) {
-	rows, err := Whanau(tiny)
+	rows, err := WhanauContext(context.Background(), tiny, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +315,7 @@ func TestDefenseComparison(t *testing.T) {
 	// sybils, so large g with few sybils legitimately saturates it).
 	cfg := DefenseComparisonConfig{Config: tiny, Nodes: 220, SybilNodes: 50,
 		AttackEdges: 1, W: 10, Datasets: []string{"facebook-A"}}
-	rows, err := DefenseComparison(cfg)
+	rows, err := DefenseComparisonContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,7 @@ func TestDefenseComparison(t *testing.T) {
 }
 
 func TestWhanauLookup(t *testing.T) {
-	rows, err := WhanauLookup(tiny)
+	rows, err := WhanauLookupContext(context.Background(), tiny, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +373,7 @@ func TestWhanauLookup(t *testing.T) {
 func TestDetection(t *testing.T) {
 	cfg := DetectionConfig{Config: tiny, Nodes: 250, SybilNodes: 60,
 		AttackEdges: 3, Walks: []int{4, 12}, Datasets: []string{"facebook-A"}}
-	rows, err := Detection(cfg)
+	rows, err := DetectionContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ func TestDetection(t *testing.T) {
 }
 
 func TestTrustModels(t *testing.T) {
-	rows, err := TrustModels(tiny)
+	rows, err := TrustModelsContext(context.Background(), tiny, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +430,7 @@ func TestTrustModels(t *testing.T) {
 }
 
 func TestConductance(t *testing.T) {
-	rows, err := Conductance(tiny)
+	rows, err := ConductanceContext(context.Background(), tiny, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,17 +67,11 @@ func (c SybilAttackConfig) withDefaults() SybilAttackConfig {
 	return c
 }
 
-// SybilAttack runs the extension experiment: SybilLimit under attack
-// across walk lengths, reporting the escape-based sybil bound the
-// paper's discussion derives (accepted sybils ≈ t·g as long as
-// g < n/w).
-func SybilAttack(cfg SybilAttackConfig) ([]SybilAttackRow, error) {
-	return SybilAttackContext(context.Background(), cfg, nil)
-}
-
-// SybilAttackContext is SybilAttack with cancellation and progress:
-// ctx is checked per walk length and each finished walk length
-// reports as a KindStageProgress.
+// SybilAttackContext runs the extension experiment: SybilLimit under
+// attack across walk lengths, reporting the escape-based sybil bound
+// the paper's discussion derives (accepted sybils ≈ t·g as long as
+// g < n/w). ctx is checked per walk length and each finished walk
+// length reports as a KindStageProgress.
 func SybilAttackContext(ctx context.Context, cfg SybilAttackConfig, obs runner.Observer) ([]SybilAttackRow, error) {
 	cfg = cfg.withDefaults()
 	d, err := datasets.ByName(cfg.Dataset)
@@ -148,13 +142,8 @@ type ConductanceRow struct {
 	SweepNodes int
 }
 
-// Conductance runs the community-structure extension over the small
-// datasets.
-func Conductance(cfg Config) ([]ConductanceRow, error) {
-	return ConductanceContext(context.Background(), cfg, nil)
-}
-
-// ConductanceContext is Conductance with cancellation and progress.
+// ConductanceContext runs the community-structure extension over the
+// small datasets, with cancellation and progress.
 func ConductanceContext(ctx context.Context, cfg Config, obs runner.Observer) ([]ConductanceRow, error) {
 	cfg = cfg.WithDefaults()
 	small := datasets.Small()

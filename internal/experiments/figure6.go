@@ -31,18 +31,13 @@ type Fig6Row struct {
 	MeanTV []float64
 }
 
-// Figure6 reproduces the trimming experiment: generate the DBLP
-// substitute, trim it to minimum degree 1..5, and measure each level
-// both ways. The paper's headline: trimming sharply improves mixing
-// but DBLP 5 keeps only ~24% of DBLP 1's nodes — utility traded for
-// speed.
-func Figure6(cfg Config) ([]Fig6Row, error) {
-	return Figure6Context(context.Background(), cfg, nil)
-}
-
-// Figure6Context is Figure6 with cancellation and progress: ctx is
-// checked between trim levels (and inside each level's SLEM and trace
-// propagation), and each finished level reports as a KindDatasetDone.
+// Figure6Context reproduces the trimming experiment: generate the
+// DBLP substitute, trim it to minimum degree 1..5, and measure each
+// level both ways. The paper's headline: trimming sharply improves
+// mixing but DBLP 5 keeps only ~24% of DBLP 1's nodes — utility
+// traded for speed. ctx is checked between trim levels (and inside
+// each level's SLEM and trace propagation), and each finished level
+// reports as a KindDatasetDone.
 func Figure6Context(ctx context.Context, cfg Config, obs runner.Observer) ([]Fig6Row, error) {
 	cfg = cfg.WithDefaults()
 	d, err := datasets.ByName("dblp")

@@ -37,18 +37,13 @@ type Fig7Panel struct {
 	BoundEps   []float64 // ε from the Sinclair bound at each w
 }
 
-// Figure7 reproduces the sampling-versus-lower-bound comparison. Each
-// large dataset substitute is generated at full run scale, then
-// BFS-sampled (as the paper does, noting BFS can only bias the sample
-// toward faster mixing) at the three scaled sizes.
-func Figure7(cfg Config) ([]Fig7Panel, error) {
-	return Figure7Context(context.Background(), cfg, nil)
-}
-
-// Figure7Context is Figure7 with cancellation and progress: ctx is
-// checked before every (dataset, sample size) panel and threaded into
-// the SLEM and trace propagation; each finished panel reports as a
-// KindDatasetDone.
+// Figure7Context reproduces the sampling-versus-lower-bound
+// comparison. Each large dataset substitute is generated at full run
+// scale, then BFS-sampled (as the paper does, noting BFS can only
+// bias the sample toward faster mixing) at the three scaled sizes.
+// ctx is checked before every (dataset, sample size) panel and
+// threaded into the SLEM and trace propagation; each finished panel
+// reports as a KindDatasetDone.
 func Figure7Context(ctx context.Context, cfg Config, obs runner.Observer) ([]Fig7Panel, error) {
 	cfg = cfg.WithDefaults()
 	walks := append(append([]int{}, probeWalksShort...), probeWalksLong...)

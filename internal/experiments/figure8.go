@@ -60,14 +60,9 @@ func (c Fig8Config) withDefaults() Fig8Config {
 // 10K-node samples of Facebook A and Slashdot 1.
 var fig8Datasets = []string{"physics-1", "physics-2", "physics-3", "facebook-A", "slashdot-1"}
 
-// Figure8 reproduces the SybilLimit admission experiment.
-func Figure8(cfg Fig8Config) ([]Fig8Curve, error) {
-	return Figure8Context(context.Background(), cfg, nil)
-}
-
-// Figure8Context is Figure8 with cancellation and progress: ctx is
-// checked per dataset and per walk length, and each finished dataset
-// reports as a KindDatasetDone.
+// Figure8Context reproduces the SybilLimit admission experiment. ctx
+// is checked per dataset and per walk length, and each finished
+// dataset reports as a KindDatasetDone.
 func Figure8Context(ctx context.Context, cfg Fig8Config, obs runner.Observer) ([]Fig8Curve, error) {
 	cfg = cfg.withDefaults()
 	var curves []Fig8Curve

@@ -81,24 +81,15 @@ func physicsCDFs(ctx context.Context, names []string, walks []int, cfg Config, o
 	return rows, nil
 }
 
-// Figure3 reproduces the short-walk CDFs (w ∈ {1,5,10,20,40}) of the
-// three physics co-authorship graphs.
-func Figure3(cfg Config) ([]DistanceCDF, error) {
-	return Figure3Context(context.Background(), cfg, nil)
-}
-
-// Figure3Context is Figure3 with cancellation and progress.
+// Figure3Context reproduces the short-walk CDFs (w ∈ {1,5,10,20,40})
+// of the three physics co-authorship graphs, with cancellation and
+// progress.
 func Figure3Context(ctx context.Context, cfg Config, obs runner.Observer) ([]DistanceCDF, error) {
 	return physicsCDFs(ctx, physicsNames, probeWalksShort, cfg, obs)
 }
 
-// Figure4 reproduces the long-walk CDFs (w ∈ {80..500}) for
-// physics-2 and physics-3.
-func Figure4(cfg Config) ([]DistanceCDF, error) {
-	return Figure4Context(context.Background(), cfg, nil)
-}
-
-// Figure4Context is Figure4 with cancellation and progress.
+// Figure4Context reproduces the long-walk CDFs (w ∈ {80..500}) for
+// physics-2 and physics-3, with cancellation and progress.
 func Figure4Context(ctx context.Context, cfg Config, obs runner.Observer) ([]DistanceCDF, error) {
 	return physicsCDFs(ctx, physicsNames[1:], probeWalksLong, cfg, obs)
 }
@@ -136,13 +127,8 @@ type Fig5Curve struct {
 	BoundEps []float64
 }
 
-// Figure5 reproduces the lower-bound-vs-sampling comparison for the
-// three physics graphs.
-func Figure5(cfg Config) ([]Fig5Curve, error) {
-	return Figure5Context(context.Background(), cfg, nil)
-}
-
-// Figure5Context is Figure5 with cancellation and progress.
+// Figure5Context reproduces the lower-bound-vs-sampling comparison
+// for the three physics graphs, with cancellation and progress.
 func Figure5Context(ctx context.Context, cfg Config, obs runner.Observer) ([]Fig5Curve, error) {
 	cfg = cfg.WithDefaults()
 	walks := append(append([]int{}, probeWalksShort...), probeWalksLong...)

@@ -26,16 +26,11 @@ type Table1Row struct {
 	Converged bool
 }
 
-// Table1 regenerates Table 1 at the configured scale: every dataset
-// substitute is generated, its largest component extracted, and its
-// SLEM measured.
-func Table1(cfg Config) ([]Table1Row, error) {
-	return Table1Context(context.Background(), cfg, nil)
-}
-
-// Table1Context is Table1 with cancellation and progress: ctx is
-// checked between datasets and threaded into each SLEM estimation,
-// and obs receives one KindDatasetDone per dataset.
+// Table1Context regenerates Table 1 at the configured scale: every
+// dataset substitute is generated, its largest component extracted,
+// and its SLEM measured. ctx is checked between datasets and threaded
+// into each SLEM estimation, and obs receives one KindDatasetDone per
+// dataset.
 func Table1Context(ctx context.Context, cfg Config, obs runner.Observer) ([]Table1Row, error) {
 	cfg = cfg.WithDefaults()
 	all := datasets.All()

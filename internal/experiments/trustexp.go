@@ -33,14 +33,9 @@ type TrustRow struct {
 // strict co-authorship.
 var trustDatasets = []string{"wiki-vote", "facebook", "enron", "physics-1", "physics-3"}
 
-// TrustModels runs the trust-cost experiment.
-func TrustModels(cfg Config) ([]TrustRow, error) {
-	return TrustModelsContext(context.Background(), cfg, nil)
-}
-
-// TrustModelsContext is TrustModels with cancellation and progress:
-// ctx is checked per dataset and threaded into each weighted SLEM,
-// and each finished dataset reports as a KindDatasetDone.
+// TrustModelsContext runs the trust-cost experiment. ctx is checked
+// per dataset and threaded into each weighted SLEM, and each finished
+// dataset reports as a KindDatasetDone.
 func TrustModelsContext(ctx context.Context, cfg Config, obs runner.Observer) ([]TrustRow, error) {
 	cfg = cfg.WithDefaults()
 	opt := spectral.Options{Tol: cfg.SpectralTol, Seed: cfg.Seed, Collector: cfg.Collector}

@@ -43,12 +43,7 @@ var whanauWalks = []int{10, 20, 40, 80, 160, 320}
 // calls out.
 var whanauDatasets = []string{"facebook", "physics-1", "livejournal-A"}
 
-// Whanau runs the tail-distribution experiment.
-func Whanau(cfg Config) ([]WhanauRow, error) {
-	return WhanauContext(context.Background(), cfg, nil)
-}
-
-// WhanauContext is Whanau with cancellation and progress: sources
+// WhanauContext runs the tail-distribution experiment. Sources
 // propagate cfg.BlockSize at a time through one blocked CSR pass per
 // step, ctx is checked per block (each block costs maxW−1 steps), and
 // each finished dataset reports as a KindDatasetDone. Column j of a

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -240,11 +241,11 @@ func TestPlantedPartitionStructure(t *testing.T) {
 func TestPlantedPartitionMixesSlowerWithWeakerBridges(t *testing.T) {
 	strong := PlantedPartition(2, 150, 0.2, 0.02, rng(11))
 	weak := PlantedPartition(2, 150, 0.2, 0.001, rng(11))
-	muStrong, err := spectral.SLEMLanczos(strong, spectral.Options{Tol: 1e-8})
+	muStrong, err := spectral.SLEMContext(context.Background(), strong, spectral.Options{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	muWeak, err := spectral.SLEMLanczos(weak, spectral.Options{Tol: 1e-8})
+	muWeak, err := spectral.SLEMContext(context.Background(), weak, spectral.Options{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,13 +265,13 @@ func TestRelaxedCaveman(t *testing.T) {
 	}
 	// Strong community structure: slow mixing relative to an ER graph
 	// of the same size/density.
-	muCave, err := spectral.SLEMLanczos(g, spectral.Options{Tol: 1e-8})
+	muCave, err := spectral.SLEMContext(context.Background(), g, spectral.Options{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	er := ErdosRenyiM(200, g.NumEdges(), rng(13))
 	erLCC, _ := graph.LargestComponent(er)
-	muER, err := spectral.SLEMLanczos(erLCC, spectral.Options{Tol: 1e-8})
+	muER, err := spectral.SLEMContext(context.Background(), erLCC, spectral.Options{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -411,24 +411,6 @@ func (c *Chain) traceBlock(ctx context.Context, sources []graph.NodeID, maxT int
 	return traces, nil
 }
 
-// TraceBlock runs TraceFrom for all the given sources in one blocked
-// pass: every step scans the adjacency once and advances all
-// len(sources) distributions. The traces are byte-identical to
-// per-source TraceFrom runs.
-func (c *Chain) TraceBlock(sources []graph.NodeID, maxT int) []*Trace {
-	traces, _ := c.traceBlock(context.Background(), sources, maxT,
-		newBlockBuffers(c.g.NumNodes(), len(sources)))
-	return traces
-}
-
-// TraceSampleBlocked is TraceSample computed blockSize sources at a
-// time (DefaultBlockSize when blockSize <= 0); results are in source
-// order and byte-identical to the sequential ones.
-func (c *Chain) TraceSampleBlocked(sources []graph.NodeID, maxT, blockSize int) []*Trace {
-	traces, _ := c.TraceSampleBlockedContext(context.Background(), sources, maxT, blockSize, 1, nil)
-	return traces
-}
-
 // TraceSampleBlockedContext is the blocked, cancellable, observable
 // trace sampler the experiment drivers run on: sources are cut into
 // blocks of blockSize (DefaultBlockSize when <= 0), each block

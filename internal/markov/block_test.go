@@ -82,7 +82,10 @@ func TestTraceBlockMatchesTraceFrom(t *testing.T) {
 	for name, g := range blockFixtures(t) {
 		c := mustChain(t, g, Lazy())
 		sources := []graph.NodeID{0, 3, graph.NodeID(g.NumNodes() - 1)}
-		got := c.TraceBlock(sources, 20)
+		got, err := c.traceBlock(context.Background(), sources, 20, newBlockBuffers(g.NumNodes(), len(sources)))
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := make([]*Trace, len(sources))
 		for i, s := range sources {
 			want[i] = c.TraceFrom(s, 20)
@@ -167,28 +170,6 @@ func TestTraceSampleBlockedEmptySources(t *testing.T) {
 	got, err := c.TraceSampleBlockedContext(context.Background(), nil, 10, 8, 2, nil)
 	if err != nil || got == nil || len(got) != 0 {
 		t.Fatalf("empty sources = %v, %v", got, err)
-	}
-}
-
-func TestStepParallelMatchesStep(t *testing.T) {
-	for name, g := range blockFixtures(t) {
-		for _, lazyOpt := range [][]Option{nil, {Lazy()}} {
-			c := mustChain(t, g, lazyOpt...)
-			n := g.NumNodes()
-			p := c.Propagate(c.Delta(0), 2)
-			want := make([]float64, n)
-			c.Step(want, p, nil)
-			for _, workers := range []int{0, 1, 2, 4} {
-				got := make([]float64, n)
-				c.StepParallel(got, p, nil, workers)
-				for v := range want {
-					if got[v] != want[v] {
-						t.Fatalf("%s lazy=%v workers=%d: row %d: %v, want %v (not byte-identical)",
-							name, c.IsLazy(), workers, v, got[v], want[v])
-					}
-				}
-			}
-		}
 	}
 }
 

@@ -11,18 +11,10 @@ package markov
 import (
 	"errors"
 	"math"
-	"runtime"
 
 	"mixtime/internal/graph"
 	"mixtime/internal/telemetry"
 )
-
-// minParallelAdj is the adjacency length (2m) below which the
-// row-sharded kernels fall back to the sequential ones when the
-// caller asks for automatic parallelism: under it a matvec costs a
-// few tens of microseconds and goroutine fan-out overhead dominates.
-// An explicit workers > 1 always shards.
-const minParallelAdj = 1 << 15
 
 // Chain is the random walk on a fixed graph. The zero value is not
 // usable; construct with New. A Chain is immutable and safe for
@@ -31,7 +23,6 @@ type Chain struct {
 	g      *graph.Graph
 	invDeg []float64
 	pi     []float64
-	plan   *graph.ShardPlan
 	adjLen int64 // 2m, the CSR entries one full pass scans
 	col    *telemetry.Collector
 	lazy   bool
@@ -81,14 +72,8 @@ func New(g *graph.Graph, opts ...Option) (*Chain, error) {
 		c.invDeg[v] = 1 / float64(d)
 		c.pi[v] = float64(d) / twoM
 	}
-	// Edge-balanced shard plan for the row-sharded kernels, computed
-	// once per chain. Oversubscribing the core count keeps workers
-	// busy when shard costs drift apart.
-	c.plan = graph.NewShardPlan(g, 4*runtime.GOMAXPROCS(0))
 	c.adjLen = 2 * g.NumEdges()
 	if c.col != nil {
-		st := c.plan.Stats(g)
-		c.col.ObserveMax(telemetry.ShardImbalanceMilli, int64(st.Imbalance*1000))
 		c.col.ObserveMax(telemetry.MaxGraphAdjacency, c.adjLen)
 	}
 	return c, nil
@@ -145,12 +130,10 @@ func (c *Chain) Step(dst, p, scratch []float64) {
 }
 
 // stepRows computes dst[v] for v in [lo, hi) from the pre-scaled
-// w = p/deg. Rows are independent, so any partition of the vertex
-// range produces bytes identical to a full sequential pass — the
-// invariant StepParallel and the sharded tests rely on. The compact
-// (uint32-offset) form gets a loop with the offset and adjacency
-// arrays hoisted into locals — no per-row slice construction, half
-// the offset bytes per row; per-row summation order is unchanged.
+// w = p/deg. The compact (uint32-offset) form gets a loop with the
+// offset and adjacency arrays hoisted into locals — no per-row slice
+// construction, half the offset bytes per row; per-row summation
+// order is unchanged.
 func (c *Chain) stepRows(dst, p, w []float64, lo, hi int) {
 	if off := c.g.Offsets32(); off != nil {
 		adj := c.g.Adjacency()
@@ -190,47 +173,6 @@ func (c *Chain) stepRows(dst, p, w []float64, lo, hi int) {
 		}
 		dst[v] = s
 	}
-}
-
-// StepParallel is Step with the row loop sharded across the chain's
-// edge-balanced plan: workers goroutines claim contiguous vertex
-// ranges whose adjacency lengths are near-equal, so each pays for the
-// edges it scans rather than the vertices it owns. Per-row summation
-// order is unchanged, so the output is byte-identical to Step.
-//
-// workers <= 0 uses GOMAXPROCS but stays sequential on graphs too
-// small to amortize the fan-out; workers == 1 is Step; an explicit
-// workers > 1 always shards.
-func (c *Chain) StepParallel(dst, p, scratch []float64, workers int) {
-	n := c.g.NumNodes()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if 2*c.g.NumEdges() < minParallelAdj {
-			workers = 1
-		}
-	}
-	if workers <= 1 {
-		c.Step(dst, p, scratch)
-		return
-	}
-	if c.col != nil {
-		c.col.Add(telemetry.Matvecs, 1)
-		c.col.Add(telemetry.EdgesScanned, c.adjLen)
-	}
-	w := scratch
-	if len(w) < n {
-		w = make([]float64, n)
-	} else {
-		w = w[:n]
-	}
-	c.plan.Do(workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			w[v] = p[v] * c.invDeg[v]
-		}
-	})
-	c.plan.Do(workers, func(lo, hi int) {
-		c.stepRows(dst, p, w, lo, hi)
-	})
 }
 
 // Delta returns the point distribution concentrated at src (π⁽ⁱ⁾ in

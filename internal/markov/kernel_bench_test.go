@@ -6,6 +6,7 @@
 package markov_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -104,7 +105,9 @@ func BenchmarkTraceSampleBlocked(b *testing.B) {
 	for _, width := range []int{1, 8} {
 		b.Run(fmt.Sprintf("B=%d", width), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c.TraceSampleBlocked(sources, 50, width)
+				if _, err := c.TraceSampleBlockedContext(context.Background(), sources, 50, width, 1, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(sources)),
 				"ns/source")

@@ -105,18 +105,6 @@ func (c *Chain) traceDone(steps int) {
 	}
 }
 
-// TraceAll runs TraceFrom for every vertex — the brute-force
-// measurement the paper applies to the physics co-authorship graphs
-// (Figures 3–5). Cost is O(n·maxT·m); use only on small graphs.
-func (c *Chain) TraceAll(maxT int) []*Trace {
-	n := c.g.NumNodes()
-	traces := make([]*Trace, n)
-	for v := 0; v < n; v++ {
-		traces[v] = c.TraceFrom(graph.NodeID(v), maxT)
-	}
-	return traces
-}
-
 // TraceSample runs TraceFrom for each of the given sources (the
 // paper's 1000-source sampling for large graphs).
 func (c *Chain) TraceSample(sources []graph.NodeID, maxT int) []*Trace {

@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"context"
 	"testing"
 
 	"mixtime/internal/graph"
@@ -85,7 +86,9 @@ func TestTraceCollectorCounts(t *testing.T) {
 
 	col.Reset()
 	sources := []graph.NodeID{0, 1, 2, 3}
-	c.TraceSampleBlocked(sources, maxT, len(sources))
+	if _, err := c.TraceSampleBlockedContext(context.Background(), sources, maxT, len(sources), 1, nil); err != nil {
+		t.Fatal(err)
+	}
 	snap = col.Snapshot()
 	if got := snap.Get(telemetry.SpMMBlocks); got != maxT {
 		t.Errorf("spmm_blocks = %d, want %d (one blocked pass per step)", got, maxT)

@@ -7,30 +7,15 @@ import (
 	"mixtime/internal/telemetry"
 )
 
-// Canonical experiment defaults. The single source of truth now lives
-// in internal/api (the versioned wire schema shares them with the
-// daemon and the load generator); these aliases remain so existing
-// callers keep compiling.
-//
-// Deprecated: read the api.Default* constants directly.
-const (
-	DefaultScale       = api.DefaultScale
-	DefaultSeed        = api.DefaultSeed
-	DefaultSources     = api.DefaultSources
-	DefaultMaxWalk     = api.DefaultMaxWalk
-	DefaultSpectralTol = api.DefaultSpectralTol
-	DefaultBlockSize   = api.DefaultBlockSize
-)
-
 // Config scales and seeds an experiment run. It is the uniform
 // configuration every registered experiment receives; drivers with
 // extra knobs (protocol parameters, sweep overrides) embed it in
 // their extended config and fill the rest with defaults.
 type Config struct {
 	// Scale multiplies every dataset's node count (default
-	// DefaultScale: the million-node graphs become 10k — the paper's
-	// measurements used a cluster; see EXPERIMENTS.md for the recorded
-	// scale per run).
+	// api.DefaultScale: the million-node graphs become 10k — the
+	// paper's measurements used a cluster; see EXPERIMENTS.md for the
+	// recorded scale per run).
 	Scale float64
 	// Seed makes runs deterministic. Zero is a valid seed: defaults
 	// never overwrite it (use DefaultConfig for the conventional
@@ -38,16 +23,16 @@ type Config struct {
 	// alone, so results are independent of scheduling order.
 	Seed uint64
 	// Sources is the number of start vertices for direct measurements
-	// (default DefaultSources; the paper uses 1000 on large graphs and
-	// all vertices on the physics graphs).
+	// (default api.DefaultSources; the paper uses 1000 on large graphs
+	// and all vertices on the physics graphs).
 	Sources int
-	// MaxWalk caps propagated walk lengths (default DefaultMaxWalk,
+	// MaxWalk caps propagated walk lengths (default api.DefaultMaxWalk,
 	// the paper's longest probe).
 	MaxWalk int
-	// SpectralTol is the SLEM tolerance (default DefaultSpectralTol).
+	// SpectralTol is the SLEM tolerance (default api.DefaultSpectralTol).
 	SpectralTol float64
 	// BlockSize is the number of source distributions propagated per
-	// blocked CSR pass (default DefaultBlockSize); 1 degenerates to
+	// blocked CSR pass (default api.DefaultBlockSize); 1 degenerates to
 	// per-source matvecs. Traces are byte-identical for any value.
 	BlockSize int
 	// Workers bounds the kernel parallelism inside one experiment:
@@ -90,12 +75,12 @@ type Config struct {
 // applied; WithDefaults leaves Seed untouched.
 func DefaultConfig() Config {
 	return Config{
-		Scale:       DefaultScale,
-		Seed:        DefaultSeed,
-		Sources:     DefaultSources,
-		MaxWalk:     DefaultMaxWalk,
-		SpectralTol: DefaultSpectralTol,
-		BlockSize:   DefaultBlockSize,
+		Scale:       api.DefaultScale,
+		Seed:        api.DefaultSeed,
+		Sources:     api.DefaultSources,
+		MaxWalk:     api.DefaultMaxWalk,
+		SpectralTol: api.DefaultSpectralTol,
+		BlockSize:   api.DefaultBlockSize,
 	}
 }
 
@@ -104,19 +89,19 @@ func DefaultConfig() Config {
 // usable seed, not a sentinel.
 func (c Config) WithDefaults() Config {
 	if c.Scale <= 0 {
-		c.Scale = DefaultScale
+		c.Scale = api.DefaultScale
 	}
 	if c.Sources <= 0 {
-		c.Sources = DefaultSources
+		c.Sources = api.DefaultSources
 	}
 	if c.MaxWalk <= 0 {
-		c.MaxWalk = DefaultMaxWalk
+		c.MaxWalk = api.DefaultMaxWalk
 	}
 	if c.SpectralTol <= 0 {
-		c.SpectralTol = DefaultSpectralTol
+		c.SpectralTol = api.DefaultSpectralTol
 	}
 	if c.BlockSize <= 0 {
-		c.BlockSize = DefaultBlockSize
+		c.BlockSize = api.DefaultBlockSize
 	}
 	// Workers is deliberately left alone: 0 means "GOMAXPROCS where it
 	// pays off", which is the default behaviour.

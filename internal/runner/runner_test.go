@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"mixtime/internal/api"
 )
 
 // textResult is a trivial Result for fake experiments.
@@ -226,19 +228,19 @@ func TestRunnerObserverEventsAreStampedAndSerialized(t *testing.T) {
 func TestConfigWithDefaultsLeavesSeedAlone(t *testing.T) {
 	got := Config{}.WithDefaults()
 	want := Config{
-		Scale:       DefaultScale,
+		Scale:       api.DefaultScale,
 		Seed:        0, // zero is a valid seed, not a sentinel
-		Sources:     DefaultSources,
-		MaxWalk:     DefaultMaxWalk,
-		SpectralTol: DefaultSpectralTol,
-		BlockSize:   DefaultBlockSize,
+		Sources:     api.DefaultSources,
+		MaxWalk:     api.DefaultMaxWalk,
+		SpectralTol: api.DefaultSpectralTol,
+		BlockSize:   api.DefaultBlockSize,
 		Workers:     0, // zero means auto, not a sentinel to rewrite
 	}
 	if got != want {
 		t.Errorf("Config{}.WithDefaults() = %+v, want %+v", got, want)
 	}
-	if s := DefaultConfig().Seed; s != DefaultSeed {
-		t.Errorf("DefaultConfig().Seed = %d, want %d", s, DefaultSeed)
+	if s := DefaultConfig().Seed; s != api.DefaultSeed {
+		t.Errorf("DefaultConfig().Seed = %d, want %d", s, api.DefaultSeed)
 	}
 	// Explicit settings survive.
 	cfg := Config{Scale: 0.5, Seed: 42, Sources: 7, MaxWalk: 9, SpectralTol: 1e-3,

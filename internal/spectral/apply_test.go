@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -93,12 +94,12 @@ func TestApplyScratchSizes(t *testing.T) {
 // the sharded matvec preserves per-row summation order.
 func TestSLEMWorkersByteIdentical(t *testing.T) {
 	g := connectedRandom(150, 250, 29)
-	base, err := SLEM(g, Options{Seed: 11, Workers: 1})
+	base, err := SLEMContext(context.Background(), g, Options{Seed: 11, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 4} {
-		est, err := SLEM(g, Options{Seed: 11, Workers: workers})
+		est, err := SLEMContext(context.Background(), g, Options{Seed: 11, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

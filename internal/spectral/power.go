@@ -161,27 +161,25 @@ func powerExtreme(ctx context.Context, op *Operator, shift, scale float64, start
 	return rho, x, iters, false, nil
 }
 
-// SLEMPower estimates µ by two deflated power iterations on shifted
-// operators: (S+I)/2 isolates λ₂ and (I−S)/2 isolates λ_n. Shifting
-// makes the restricted spectrum non-negative, so convergence is
-// monotone even when λ₂ ≈ −λ_n (near-bipartite graphs), at the cost
-// of a convergence rate governed by the shifted gap. This is the
-// simple, O(n)-memory method; prefer SLEMLanczos when the spectral
-// gap is small (slow-mixing graphs) and memory allows.
-func SLEMPower(g *graph.Graph, opt Options) (*Estimate, error) {
-	return SLEMPowerContext(context.Background(), g, opt)
-}
-
-// SLEMPowerContext is SLEMPower with cancellation.
+// SLEMPowerContext estimates µ of g's random walk by power iteration
+// alone; see slemPower. The iteration checks ctx once per operator
+// application and returns the wrapped ctx.Err() when cancelled.
 func SLEMPowerContext(ctx context.Context, g *graph.Graph, opt Options) (*Estimate, error) {
 	op, err := NewOperator(g)
 	if err != nil {
 		return nil, err
 	}
-	return slemPowerOp(ctx, op, opt)
+	return slemPower(ctx, op, opt)
 }
 
-func slemPowerOp(ctx context.Context, op *Operator, opt Options) (*Estimate, error) {
+// slemPower estimates µ by two deflated power iterations on shifted
+// operators: (S+I)/2 isolates λ₂ and (I−S)/2 isolates λ_n. Shifting
+// makes the restricted spectrum non-negative, so convergence is
+// monotone even when λ₂ ≈ −λ_n (near-bipartite graphs), at the cost
+// of a convergence rate governed by the shifted gap. This is the
+// simple, O(n)-memory method: Solve's fallback when Lanczos does not
+// converge, and the oracle the tests hold Lanczos against.
+func slemPower(ctx context.Context, op *Operator, opt Options) (*Estimate, error) {
 	opt = opt.withDefaults(50_000)
 	if opt.Collector != nil && op.col == nil {
 		op.SetCollector(opt.Collector)

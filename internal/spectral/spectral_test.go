@@ -1,11 +1,13 @@
 package spectral
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
+	"mixtime/internal/gen"
 	"mixtime/internal/graph"
 )
 
@@ -59,6 +61,16 @@ func barbell(k int) *graph.Graph {
 	}
 	b.AddEdge(0, graph.NodeID(k))
 	return b.Build()
+}
+
+// lanczosEstimate runs the Lanczos stage alone, without Solve's power
+// fallback.
+func lanczosEstimate(g *graph.Graph, opt Options) (*Estimate, error) {
+	op, err := NewOperator(g)
+	if err != nil {
+		return nil, err
+	}
+	return slemLanczos(context.Background(), op, opt)
 }
 
 func connectedRandom(n, extra int, seed uint64) *graph.Graph {
@@ -151,7 +163,7 @@ func TestSLEMPowerMatchesAnalytic(t *testing.T) {
 		{"Q3 (bipartite)", hypercube(3), 1},
 	}
 	for _, c := range cases {
-		est, err := SLEMPower(c.g, Options{Tol: 1e-10})
+		est, err := SLEMPowerContext(context.Background(), c.g, Options{Tol: 1e-10})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -174,7 +186,7 @@ func TestSLEMLanczosMatchesAnalytic(t *testing.T) {
 		{"Q4 λ2", hypercube(4), 1}, // bipartite: λn = −1
 	}
 	for _, c := range cases {
-		est, err := SLEMLanczos(c.g, Options{Tol: 1e-10})
+		est, err := lanczosEstimate(c.g, Options{Tol: 1e-10})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -183,7 +195,7 @@ func TestSLEMLanczosMatchesAnalytic(t *testing.T) {
 		}
 	}
 	// Hypercube λ2 = (d-2)/d.
-	est, err := SLEMLanczos(hypercube(4), Options{Tol: 1e-10})
+	est, err := lanczosEstimate(hypercube(4), Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +208,7 @@ func TestSLEMLanczosMatchesAnalytic(t *testing.T) {
 }
 
 func TestBarbellSlowMixing(t *testing.T) {
-	est, err := SLEMLanczos(barbell(10), Options{Tol: 1e-10})
+	est, err := lanczosEstimate(barbell(10), Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,12 +238,12 @@ func TestQuickSLEMAgreement(t *testing.T) {
 			t.Logf("dense: %v", err)
 			return false
 		}
-		pow, err := SLEMPower(g, Options{Tol: 1e-9, Seed: seed + 1})
+		pow, err := SLEMPowerContext(context.Background(), g, Options{Tol: 1e-9, Seed: seed + 1})
 		if err != nil {
 			t.Logf("power: %v", err)
 			return false
 		}
-		lan, err := SLEMLanczos(g, Options{Tol: 1e-9, Seed: seed + 2})
+		lan, err := lanczosEstimate(g, Options{Tol: 1e-9, Seed: seed + 2})
 		if err != nil {
 			t.Logf("lanczos: %v", err)
 			return false
@@ -309,8 +321,42 @@ func TestProfileCountsCommunities(t *testing.T) {
 	}
 }
 
+// TestProfilePinnedBits pins Profile's values bit for bit. The dense
+// comparisons above hold only within a tolerance, so a change to the
+// Lanczos loop that moves the values (start stream, stop rule,
+// reorthogonalization order) would pass them unnoticed.
+func TestProfilePinnedBits(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		k    int
+		want []uint64
+	}{
+		{"barbell(10)", barbell(10), 3, []uint64{
+			0x3fef6756cdf0271d, 0xbf86c16c16b71793, 0xbfbc71c71c72556f}},
+		{"planted partition 4x30", gen.PlantedPartition(4, 30, 0.3, 0.005, rand.New(rand.NewPCG(7, 1))), 8, []uint64{
+			0x3fef7c49880e08fc, 0x3fef1e2acb304f6b, 0x3fee9dc397b7b648, 0x3fdea22d14e91dfc,
+			0x3fdce04c7604fdd8, 0x3fdc9ebff47288a0, 0x3fdc1032a55d19f8, 0x3fdabc963db3a4cc}},
+	}
+	for _, c := range cases {
+		got, err := Profile(c.g, c.k, Options{Tol: 1e-10})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(got) != len(c.want) {
+			t.Fatalf("%s: %d eigenvalues, want %d", c.name, len(got), len(c.want))
+		}
+		for i, v := range got {
+			if bits := math.Float64bits(v); bits != c.want[i] {
+				t.Errorf("%s: profile[%d] = %v (%#016x), pinned %v (%#016x)",
+					c.name, i, v, bits, math.Float64frombits(c.want[i]), c.want[i])
+			}
+		}
+	}
+}
+
 func TestSLEMDefaultEntryPoint(t *testing.T) {
-	est, err := SLEM(complete(8), Options{})
+	est, err := SLEMContext(context.Background(), complete(8), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +445,7 @@ func TestConductanceOf(t *testing.T) {
 
 func TestSweepCutFindsBarbellBridge(t *testing.T) {
 	g := barbell(8)
-	cut, est, err := SweepConductance(g, Options{Tol: 1e-9})
+	cut, est, err := SweepConductanceContext(context.Background(), g, Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +472,7 @@ func TestQuickSweepCheeger(t *testing.T) {
 	f := func(seed uint64) bool {
 		n := 12 + int(seed%20)
 		g := connectedRandom(n, n/2, seed)
-		cut, est, err := SweepConductance(g, Options{Tol: 1e-8, Seed: seed + 3})
+		cut, est, err := SweepConductanceContext(context.Background(), g, Options{Tol: 1e-8, Seed: seed + 3})
 		if err != nil {
 			return false
 		}
@@ -459,7 +505,7 @@ func BenchmarkSLEMPower10k(b *testing.B) {
 	g := connectedRandom(10_000, 40_000, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SLEMPower(g, Options{Tol: 1e-6}); err != nil {
+		if _, err := SLEMPowerContext(context.Background(), g, Options{Tol: 1e-6}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -469,7 +515,7 @@ func BenchmarkSLEMLanczos10k(b *testing.B) {
 	g := connectedRandom(10_000, 40_000, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SLEMLanczos(g, Options{Tol: 1e-6}); err != nil {
+		if _, err := lanczosEstimate(g, Options{Tol: 1e-6}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -108,14 +108,10 @@ func SweepCut(g *graph.Graph, score []float64) *Cut {
 	return best
 }
 
-// SweepConductance is a convenience wrapper: estimate the λ₂
-// eigenvector by power iteration and sweep it. It returns the cut and
-// the SLEM estimate used.
-func SweepConductance(g *graph.Graph, opt Options) (*Cut, *Estimate, error) {
-	return SweepConductanceContext(context.Background(), g, opt)
-}
-
-// SweepConductanceContext is SweepConductance with cancellation.
+// SweepConductanceContext estimates the λ₂ eigenvector by power
+// iteration and sweeps it. It returns the cut and the SLEM estimate
+// used; the iteration aborts with the wrapped ctx.Err() once ctx is
+// done.
 func SweepConductanceContext(ctx context.Context, g *graph.Graph, opt Options) (*Cut, *Estimate, error) {
 	est, err := SLEMPowerContext(ctx, g, opt)
 	if err != nil {

@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"context"
 	"math"
 	"strconv"
 	"testing"
@@ -26,7 +27,7 @@ func warmTestGraph(n int) *graph.Graph {
 func TestWarmStartFromConvergedVectorCollapsesIterations(t *testing.T) {
 	g := warmTestGraph(90)
 	opt := Options{Tol: 1e-9, Seed: 1}
-	cold, err := SLEMPower(g, opt)
+	cold, err := SLEMPowerContext(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestWarmStartFromConvergedVectorCollapsesIterations(t *testing.T) {
 		t.Fatalf("cold run: converged=%v warm=%v", cold.Converged, cold.WarmStarted)
 	}
 	opt.Start = cold.Vector2
-	warm, err := SLEMPower(g, opt)
+	warm, err := SLEMPowerContext(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,12 +65,12 @@ func TestWarmStartFromConvergedVectorCollapsesIterations(t *testing.T) {
 func TestWrongLengthStartFallsBackByteIdentical(t *testing.T) {
 	g := warmTestGraph(60)
 	opt := Options{Tol: 1e-8, Seed: 3}
-	cold, err := SLEMPower(g, opt)
+	cold, err := SLEMPowerContext(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Start = make([]float64, g.NumNodes()-1) // wrong length
-	fell, err := SLEMPower(g, opt)
+	fell, err := SLEMPowerContext(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +91,11 @@ func TestDegenerateStartRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := SLEMPower(g, Options{Tol: 1e-8, Seed: 1})
+	cold, err := SLEMPowerContext(context.Background(), g, Options{Tol: 1e-8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deg, err := SLEMPower(g, Options{Tol: 1e-8, Seed: 1, Start: op.TopEigenvector()})
+	deg, err := SLEMPowerContext(context.Background(), g, Options{Tol: 1e-8, Seed: 1, Start: op.TopEigenvector()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestDegenerateStartRecovers(t *testing.T) {
 func TestLanczosWarmStartAndRitzVector(t *testing.T) {
 	g := warmTestGraph(80)
 	opt := Options{Tol: 1e-9, Seed: 1}
-	est, err := SLEMLanczos(g, opt)
+	est, err := lanczosEstimate(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestLanczosWarmStartAndRitzVector(t *testing.T) {
 	}
 
 	opt.Start = est.Vector2
-	warm, err := SLEMLanczos(g, opt)
+	warm, err := lanczosEstimate(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +157,11 @@ func TestWarmStartAgainstDenseOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := SLEMPower(g, Options{Tol: 1e-9, Seed: 1})
+	cold, err := SLEMPowerContext(context.Background(), g, Options{Tol: 1e-9, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := SLEMPower(g, Options{Tol: 1e-9, Seed: 1, Start: cold.Vector2})
+	warm, err := SLEMPowerContext(context.Background(), g, Options{Tol: 1e-9, Seed: 1, Start: cold.Vector2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +173,14 @@ func TestWarmStartAgainstDenseOracle(t *testing.T) {
 func TestWarmStartTelemetry(t *testing.T) {
 	g := warmTestGraph(40)
 	col := telemetry.New()
-	cold, err := SLEMPower(g, Options{Tol: 1e-8, Seed: 1, Collector: col})
+	cold, err := SLEMPowerContext(context.Background(), g, Options{Tol: 1e-8, Seed: 1, Collector: col})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := col.Count(telemetry.EvolveWarmStarts); got != 0 {
 		t.Fatalf("cold run counted %d warm starts", got)
 	}
-	if _, err := SLEMPower(g, Options{Tol: 1e-8, Seed: 1, Collector: col, Start: cold.Vector2}); err != nil {
+	if _, err := SLEMPowerContext(context.Background(), g, Options{Tol: 1e-8, Seed: 1, Collector: col, Start: cold.Vector2}); err != nil {
 		t.Fatal(err)
 	}
 	if got := col.Count(telemetry.EvolveWarmStarts); got != 1 {

@@ -1,12 +1,10 @@
 package spectral
 
 import (
-	"context"
 	"errors"
 	"math"
 
 	"mixtime/internal/graph"
-	"mixtime/internal/telemetry"
 )
 
 // NewWeightedOperator builds the symmetrized walk operator for a
@@ -64,61 +62,6 @@ func NewWeightedOperator(g *graph.Graph, weights []float64) (*Operator, error) {
 	op.plan = newOperatorPlan(g)
 	op.adjLen = slots
 	return op, nil
-}
-
-// SLEMPowerOp runs the deflated power iteration against an arbitrary
-// (possibly weighted) operator.
-func SLEMPowerOp(op *Operator, opt Options) (*Estimate, error) {
-	return SLEMPowerOpContext(context.Background(), op, opt)
-}
-
-// SLEMPowerOpContext is SLEMPowerOp with cancellation.
-func SLEMPowerOpContext(ctx context.Context, op *Operator, opt Options) (*Estimate, error) {
-	return slemPowerOp(ctx, op, opt)
-}
-
-// SLEMLanczosOp runs Lanczos against an arbitrary (possibly weighted)
-// operator.
-func SLEMLanczosOp(op *Operator, opt Options) (*Estimate, error) {
-	return SLEMLanczosOpContext(context.Background(), op, opt)
-}
-
-// SLEMLanczosOpContext is SLEMLanczosOp with cancellation.
-func SLEMLanczosOpContext(ctx context.Context, op *Operator, opt Options) (*Estimate, error) {
-	return slemLanczosOp(ctx, op, opt)
-}
-
-// SLEMOf estimates µ for an operator with the default strategy
-// (Lanczos, power fallback).
-func SLEMOf(op *Operator, opt Options) (*Estimate, error) {
-	return SLEMOfContext(context.Background(), op, opt)
-}
-
-// SLEMOfContext is SLEMOf with cancellation; both the Lanczos attempt
-// and the power fallback abort at their next iteration once ctx is
-// done, returning the wrapped ctx.Err().
-func SLEMOfContext(ctx context.Context, op *Operator, opt Options) (*Estimate, error) {
-	est, err := slemLanczosOp(ctx, op, opt)
-	if err != nil {
-		return nil, err
-	}
-	if est.Converged {
-		return est, nil
-	}
-	opt.Collector.Add(telemetry.Restarts, 1)
-	pow, err := slemPowerOp(ctx, op, opt)
-	if err != nil {
-		// A cancelled fallback must surface, not be swallowed as an
-		// "unconverged but usable" estimate.
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, err
-		}
-		return est, nil
-	}
-	if !pow.Converged {
-		return est, nil
-	}
-	return pow, nil
 }
 
 // Strengths exposes the operator's node strengths π-proportions for

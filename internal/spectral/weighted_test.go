@@ -1,10 +1,12 @@
 package spectral
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"mixtime/internal/graph"
+	"mixtime/internal/telemetry"
 )
 
 // csrWeights builds a CSR-aligned uniform weight slice for g.
@@ -47,11 +49,11 @@ func TestUniformWeightsMatchUnweighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted, err := SLEMOf(op, Options{Tol: 1e-10})
+	weighted, err := Solve(context.Background(), op, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := SLEM(g, Options{Tol: 1e-10})
+	plain, err := SLEMContext(context.Background(), g, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +87,12 @@ func TestWeightedPowerAndLanczosAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pow, err := SLEMPowerOp(op, Options{Tol: 1e-9})
+	pow, err := slemPower(context.Background(), op, Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	op2, _ := NewWeightedOperator(g, w)
-	lan, err := SLEMLanczosOp(op2, Options{Tol: 1e-9})
+	lan, err := slemLanczos(context.Background(), op2, Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,15 +110,66 @@ func TestWeightedPowerAndLanczosAgree(t *testing.T) {
 	}
 }
 
+// TestSLEMFallbackPath drives both outcomes of Solve's fallback. A
+// 3-step budget stops Lanczos short of convergence on a 200-node
+// graph, so Solve restarts with power iteration: at Tol 0.5 the power
+// estimate converges and replaces the Lanczos one, at Tol 0.1 it does
+// not and the unconverged Lanczos estimate is kept. The weighted row
+// is the trust-chain (WeightedSLEM) path.
 func TestSLEMFallbackPath(t *testing.T) {
-	// Force Lanczos to fail (MaxIter 1) so SLEM exercises the power
-	// fallback.
-	g := complete(12)
-	est, err := SLEM(g, Options{Tol: 1e-10, MaxIter: 1})
-	if err != nil {
-		t.Fatal(err)
+	g := connectedRandom(200, 600, 3)
+	cases := []struct {
+		name     string
+		weights  []float64
+		tol      float64
+		usePower bool
+		itersN   int
+	}{
+		{"power converges", nil, 0.5, true, 3},
+		{"power unconverged", nil, 0.1, false, 0},
+		{"weighted, power converges", variedWeights(g), 0.55, true, 3},
 	}
-	if math.Abs(est.Mu-1.0/11) > 1e-6 {
-		t.Fatalf("fallback µ = %v, want 1/11", est.Mu)
+	ctx := context.Background()
+	for _, c := range cases {
+		newOp := func() *Operator {
+			op, err := NewOperator(g)
+			if c.weights != nil {
+				op, err = NewWeightedOperator(g, c.weights)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			return op
+		}
+		col := telemetry.New()
+		opt := Options{Tol: c.tol, MaxIter: 3, Collector: col}
+		est, err := Solve(ctx, newOp(), opt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := col.Count(telemetry.Restarts); got != 1 {
+			t.Errorf("%s: restarts = %d, want 1", c.name, got)
+		}
+		if got := col.Count(telemetry.PowerIterations); got == 0 {
+			t.Errorf("%s: no power iterations ran", c.name)
+		}
+		if est.ItersN != c.itersN || est.Converged != c.usePower {
+			t.Errorf("%s: ItersN = %d, converged = %v; want %d, %v",
+				c.name, est.ItersN, est.Converged, c.itersN, c.usePower)
+		}
+		// The returned estimate is the chosen stage's own, bit for bit.
+		opt.Collector = nil
+		stage := slemLanczos
+		if c.usePower {
+			stage = slemPower
+		}
+		want, err := stage(ctx, newOp(), opt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if est.Mu != want.Mu || est.Lambda2 != want.Lambda2 || est.Iterations != want.Iterations {
+			t.Errorf("%s: Solve returned µ=%v λ₂=%v iters=%d, the stage alone µ=%v λ₂=%v iters=%d",
+				c.name, est.Mu, est.Lambda2, est.Iterations, want.Mu, want.Lambda2, want.Iterations)
+		}
 	}
 }

@@ -50,8 +50,8 @@ const (
 	// EdgesScanned counts CSR adjacency entries read by propagation and
 	// matvec kernels (one full pass adds 2m).
 	EdgesScanned Counter = iota
-	// Matvecs counts single-vector operator applications: markov Step /
-	// StepParallel and spectral Apply / ApplyParallel.
+	// Matvecs counts single-vector operator applications: markov Step
+	// and spectral Apply / ApplyParallel.
 	Matvecs
 	// SpMMBlocks counts blocked (multi-source) propagation passes.
 	SpMMBlocks
@@ -207,9 +207,10 @@ func (c Counter) String() string {
 type Gauge int
 
 const (
-	// ShardImbalanceMilli is the worst observed shard-plan imbalance,
-	// in thousandths: 1000·(max shard adjacency)/(mean shard
-	// adjacency). 1000 is a perfectly balanced plan.
+	// ShardImbalanceMilli is the worst observed imbalance of a spectral
+	// operator's shard plan, in thousandths: 1000·(max shard
+	// adjacency)/(mean shard adjacency). 1000 is a perfectly balanced
+	// plan.
 	ShardImbalanceMilli Gauge = iota
 	// MaxGraphAdjacency is the largest adjacency length (2m) of any
 	// instrumented graph — context for reading the edge counters.

@@ -216,7 +216,7 @@ func (c *Chain) SLEMContext(ctx context.Context, opt spectral.Options) (*spectra
 	if err != nil {
 		return nil, err
 	}
-	est, err := spectral.SLEMOfContext(ctx, op, opt)
+	est, err := spectral.Solve(ctx, op, opt)
 	if err != nil {
 		return nil, err
 	}

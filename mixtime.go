@@ -181,7 +181,9 @@ type Measurement = core.Measurement
 // Measure runs the paper's methodology on g: largest-component
 // extraction, SLEM estimation, and sampled per-source distance
 // traces.
-func Measure(g *Graph, opt Options) (*Measurement, error) { return core.Measure(g, opt) }
+func Measure(g *Graph, opt Options) (*Measurement, error) {
+	return core.MeasureContext(context.TODO(), g, opt)
+}
 
 // MeasureContext is Measure with cancellation: the SLEM iteration and
 // every trace propagation check ctx, so a cancelled or expired
@@ -226,7 +228,9 @@ type SpectralOptions = spectral.Options
 
 // SLEM estimates the second largest eigenvalue modulus of the
 // transition matrix (Lanczos with power-iteration fallback).
-func SLEM(g *Graph, opt SpectralOptions) (*SpectralEstimate, error) { return spectral.SLEM(g, opt) }
+func SLEM(g *Graph, opt SpectralOptions) (*SpectralEstimate, error) {
+	return spectral.SLEMContext(context.TODO(), g, opt)
+}
 
 // SLEMContext is SLEM with cancellation threaded into the Lanczos and
 // power iterations.
@@ -236,7 +240,7 @@ func SLEMContext(ctx context.Context, g *Graph, opt SpectralOptions) (*SpectralE
 
 // SLEMPower estimates µ by deflated power iteration only.
 func SLEMPower(g *Graph, opt SpectralOptions) (*SpectralEstimate, error) {
-	return spectral.SLEMPower(g, opt)
+	return spectral.SLEMPowerContext(context.TODO(), g, opt)
 }
 
 // SLEMPowerContext is SLEMPower with cancellation checked every

@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the pre-merge gate: formatting, vet, package-doc
 # presence, the full test suite under the race detector, the perfbench
-# module's vet and tests, and (when at least two BENCH_*.json
+# module's vet and tests, byte-identical regeneration of the SLEM
+# artifacts in results/, and (when at least two BENCH_*.json
 # snapshots exist) the kernel benchmark regression diff. Run from
 # anywhere inside the repo.
 set -eu
@@ -69,6 +70,26 @@ echo "== graphio fuzz corpus =="
 # deterministic and fast). Longer exploration:
 #   go test -fuzz=FuzzReadMIXG -fuzztime=30s ./internal/graphio
 go test -run='^Fuzz' ./internal/graphio
+
+echo "== SLEM artifacts =="
+# The seven committed artifacts whose rows come from a SLEM solve
+# (Table 1, Figures 1/2/6/7, the conductance and trust extensions)
+# must regenerate byte-identically from the recorded configuration
+# (EXPERIMENTS.md), so a solver change that moves any reported digit
+# fails here rather than in a later artifact refresh.
+art_dir=$(mktemp -d)
+trap 'rm -rf "$art_dir"' EXIT
+go run ./cmd/paperfigs -q -only T1,F1,F2,F6,F7,X2,X4 -scale 0.005 -sources 200 \
+	-maxwalk 500 -seed 1 -csv "$art_dir" >/dev/null
+for id in T1 F1 F2 F6 F7 X2 X4; do
+	if ! cmp "$art_dir/$id.csv" "results/$id.csv"; then
+		echo "results/$id.csv does not regenerate byte-identically" >&2
+		exit 1
+	fi
+done
+rm -rf "$art_dir"
+trap - EXIT
+echo "T1 F1 F2 F6 F7 X2 X4 regenerate byte-identically"
 
 echo "== mixtimed e2e smoke =="
 # Boot the daemon on a random port, fire a mixload burst at it, and
