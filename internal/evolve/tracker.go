@@ -3,6 +3,7 @@ package evolve
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"mixtime/internal/spectral"
 	"mixtime/internal/telemetry"
@@ -22,8 +23,8 @@ type Options struct {
 	// Eps is the variation distance for the per-epoch Sinclair bounds
 	// (default 0.1, the paper's headline ε).
 	Eps float64
-	// CompareCold additionally runs a cold-start solve per epoch and
-	// reports its λ₂-phase iteration count beside the warm one — the
+	// CompareCold additionally runs a cold-start λ₂ phase per epoch
+	// and reports its iteration count beside the warm one — the
 	// accuracy/cost column of experiment E1. The cold control is
 	// discarded after measurement; trajectories always come from the
 	// warm chain.
@@ -50,9 +51,10 @@ type EpochStat struct {
 	// ColdIters is the cold control's (0 unless Options.CompareCold).
 	// TotalIters is the warm solve's full count across both phases.
 	WarmIters, ColdIters, TotalIters int
-	// ColdMu is the cold control's µ (0 unless CompareCold): at equal
-	// tolerance it agrees with Mu to within the solver tolerance, which
-	// is what makes the iteration comparison an equal-accuracy one.
+	// ColdMu is the cold control's µ, max(|cold λ₂|, |λ_n|) (0 unless
+	// CompareCold): at equal tolerance it agrees with Mu to within the
+	// solver tolerance, which is what makes the iteration comparison an
+	// equal-accuracy one.
 	ColdMu float64
 	// LowerT and UpperT are the Sinclair mixing-time bounds at
 	// Options.Eps for this epoch.
@@ -134,14 +136,22 @@ func (t *Tracker) Observe(ctx context.Context) (EpochStat, error) {
 		UpperT:      spectral.MixingUpperBound(est.Mu, t.opt.Eps, g.NumNodes()),
 	}
 	if t.opt.CompareCold {
+		// A full cold solve's λ_n phase would repeat the warm solve's
+		// bit for bit: λ_n always cold-starts, on the same operator at
+		// the same Seed and Tol. So the control runs the λ₂ phase alone
+		// and shares the warm λ_n.
+		op, err := spectral.NewOperator(g)
+		if err != nil {
+			return EpochStat{}, fmt.Errorf("evolve: epoch %d cold control: %w", t.epoch, err)
+		}
 		copt := sopt
 		copt.Start = nil
-		cold, err := spectral.SLEMPowerContext(ctx, g, copt)
+		cold, err := spectral.Lambda2Power(ctx, op, copt)
 		if err != nil {
 			return EpochStat{}, fmt.Errorf("evolve: epoch %d cold control: %w", t.epoch, err)
 		}
 		stat.ColdIters = cold.Iters2
-		stat.ColdMu = cold.Mu
+		stat.ColdMu = math.Max(math.Abs(cold.Lambda2), math.Abs(est.LambdaN))
 	}
 
 	t.prev = est.Vector2

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mixtime/internal/graph"
+	"mixtime/internal/spectral"
 )
 
 // grownBase is a ring plus random chords: connected by construction,
@@ -133,5 +134,80 @@ func TestTrackerBoundsTrajectory(t *testing.T) {
 		if s.LowerT < 0 || s.UpperT <= 0 || s.LowerT > s.UpperT {
 			t.Fatalf("epoch %d: nonsensical bounds [%v, %v]", s.Epoch, s.LowerT, s.UpperT)
 		}
+	}
+}
+
+// nearBipartite is an even ring with chords that keep it bipartite
+// plus a few that break it, so λ_n ≈ −1 and |λ_n| rather than λ₂
+// sets µ: the regime where the cold control's borrowed λ_n decides
+// ColdMu.
+func nearBipartite(n, chords, odd int, seed uint64) *graph.Graph {
+	rng := rand.New(rand.NewPCG(seed, 0x9e1))
+	b := graph.NewBuilder(n + chords + odd)
+	for i := 0; i < n; i++ {
+		b.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%n))
+	}
+	for added := 0; added < chords+odd; {
+		u, v := rng.IntN(n), rng.IntN(n)
+		if u == v || ((u+v)%2 == 1) != (added < chords) {
+			continue
+		}
+		b.AddEdge(graph.NodeID(u), graph.NodeID(v))
+		added++
+	}
+	return b.Build()
+}
+
+// ringLattice joins each vertex of an n-ring to its next two
+// neighbours: triangles keep λ_n near −0.56 while the long ring keeps
+// λ₂ near 1, so λ₂ sets µ.
+func ringLattice(n int) *graph.Graph {
+	b := graph.NewBuilder(2 * n)
+	for i := 0; i < n; i++ {
+		b.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%n))
+		b.AddEdge(graph.NodeID(i), graph.NodeID((i+2)%n))
+	}
+	return b.Build()
+}
+
+// TestColdControlMatchesFullColdSolve: the cold control runs the λ₂
+// phase alone and borrows the warm solve's λ_n, so on every epoch of
+// an E1-style growth run its ColdMu and ColdIters must equal those of
+// a full cold power solve of the same snapshot, bit for bit. The two
+// base graphs cover both ends of the spectrum setting µ.
+func TestColdControlMatchesFullColdSolve(t *testing.T) {
+	const seed = 5
+	ctx := context.Background()
+	lambdaNSets := map[bool]int{}
+	for _, base := range []*graph.Graph{ringLattice(120), nearBipartite(120, 60, 3, seed)} {
+		mg := NewMutable(base)
+		tr := NewTracker(mg, Options{Seed: seed, CompareCold: true})
+		rng := rand.New(rand.NewPCG(seed, 0xe1))
+		for e := 0; e < 5; e++ {
+			if e > 0 {
+				g, _ := mg.Snapshot()
+				if _, err := mg.Apply(GrowRandom(g, 20, rng)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s, err := tr.Observe(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, _ := mg.Snapshot()
+			full, err := spectral.SLEMPowerContext(ctx, g, spectral.Options{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(s.ColdMu) != math.Float64bits(full.Mu) || s.ColdIters != full.Iters2 {
+				t.Fatalf("epoch %d: cold control µ %v after %d λ₂ iterations, full cold solve %v after %d",
+					e, s.ColdMu, s.ColdIters, full.Mu, full.Iters2)
+			}
+			lambdaNSets[math.Abs(full.LambdaN) > math.Abs(full.Lambda2)]++
+		}
+	}
+	if lambdaNSets[true] == 0 || lambdaNSets[false] == 0 {
+		t.Fatalf("epochs where |λ_n| / λ₂ set µ: %d / %d, want both regimes covered",
+			lambdaNSets[true], lambdaNSets[false])
 	}
 }

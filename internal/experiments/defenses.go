@@ -253,19 +253,24 @@ func WhanauLookupContext(ctx context.Context, cfg Config, obs runner.Observer) (
 			sub, _ := graph.BFSSubgraph(g, graph.NodeID(rng.IntN(g.NumNodes())), 1200)
 			g, _ = graph.LargestComponent(sub)
 		}
-		for _, w := range walks {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("experiments: whanau lookup cancelled at %s: %w", name, err)
+		}
+		// One walk per sample serves every w: the tables at each length
+		// equal a per-length whanau.Build.
+		dhts, err := whanau.BuildLengths(g, whanau.Config{Seed: cfg.Seed}, walks)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: whanau %s: %w", name, err)
+		}
+		for k, w := range walks {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("experiments: whanau lookup cancelled at %s w=%d: %w", name, w, err)
-			}
-			dht, err := whanau.Build(g, whanau.Config{W: w, Seed: cfg.Seed})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: whanau %s w=%d: %w", name, w, err)
 			}
 			rng := rand.New(rand.NewPCG(cfg.Seed, uint64(w)))
 			rows = append(rows, WhanauRow2{
 				Dataset: name,
 				W:       w,
-				Success: dht.SuccessRate(400, rng),
+				Success: dhts[k].SuccessRate(400, rng),
 			})
 		}
 		runner.Emit(obs, runner.Event{Kind: runner.KindDatasetDone, Dataset: name,

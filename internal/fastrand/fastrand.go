@@ -1,11 +1,15 @@
-// Package fastrand provides the inlined PCG32 generator the walk
-// kernels sample neighbors with. math/rand/v2's *rand.Rand costs an
+// Package fastrand provides the devirtualized PCG32 generator the
+// walk kernels sample neighbors with. math/rand/v2's *rand.Rand costs an
 // interface dispatch (Source.Uint64) plus a 128-bit PCG step per
 // draw; at tens of millions of walker moves per second that dispatch
 // is the single hottest instruction sequence in a Monte-Carlo trace.
 // PCG here is the 64-bit-state, 32-bit-output PCG-XSH-RR variant: a
-// value type with no interfaces, small enough that the compiler keeps
-// the state in a register across the bounded-draw fast path.
+// value type with no interfaces, so every draw is a direct call. Uint32
+// inlines; Uint32n, the per-hop draw of the walk kernels, does not (its
+// inlining cost is 147 against the compiler's budget of 80, and a
+// split-out rejection loop stays over budget), so each hop pays one
+// call with the state in memory — cheap beside the dependent adjacency
+// loads it sits between.
 //
 // Two draw primitives cover the kernels:
 //

@@ -45,8 +45,8 @@ func (c *Chain) StepBlock(dst, p []float64, width int, scratch []float64) {
 	} else {
 		w = w[:size]
 	}
-	if width == 8 && useAVX2 {
-		scale8AVX(w, p, c.invDeg, n)
+	if useAVX2 {
+		scaleAVX(w, p, c.invDeg, n, width)
 	} else {
 		for v := 0; v < n; v++ {
 			inv := c.invDeg[v]
@@ -73,6 +73,20 @@ func blockPasses(width int) int {
 	return passes
 }
 
+// groupLanes returns the width of the register group that covers the
+// first of rem remaining columns: 8, then 4, 2 and 1 for the tail.
+func groupLanes(rem int) int {
+	switch {
+	case rem >= 8:
+		return 8
+	case rem >= 4:
+		return 4
+	case rem >= 2:
+		return 2
+	}
+	return 1
+}
+
 // stepBlockRows computes the blocked rows [lo, hi) from the
 // pre-scaled w = p/deg. Like stepRows, rows are independent and each
 // column's summation order matches the sequential kernel.
@@ -88,6 +102,12 @@ func blockPasses(width int) int {
 // and win at every width ≥ 2. Column j still sums its neighbors in
 // CSR order regardless of grouping, so every decomposition is
 // byte-identical to running the sequential Step on column j alone.
+//
+// With AVX2 the 8-, 4- and 2-column groups run in assembly: in scalar
+// Go a 2-column tail pass costs ~3× an 8-column AVX pass, a third of
+// the propagation time of 50 sources (six 8-wide blocks and a 2-wide
+// one). A lone column (odd widths) has nothing to vectorize and stays
+// in Go.
 func (c *Chain) stepBlockRows(dst, p, w []float64, width, lo, hi int) {
 	off := c.g.Offsets32()
 	if off == nil {
@@ -95,46 +115,45 @@ func (c *Chain) stepBlockRows(dst, p, w []float64, width, lo, hi int) {
 		return
 	}
 	adj := c.g.Adjacency()
+	if useAVX2 {
+		stride := width * 8
+		for base := 0; base < width; {
+			lanes := groupLanes(width - base)
+			switch lanes {
+			case 8:
+				stepRows8AVX(dst[base:], p[base:], w[base:], off, adj, stride, lo, hi, c.lazy)
+			case 4:
+				stepRows4AVX(dst[base:], p[base:], w[base:], off, adj, stride, lo, hi, c.lazy)
+			case 2:
+				stepRows2AVX(dst[base:], p[base:], w[base:], off, adj, stride, lo, hi, c.lazy)
+			default:
+				c.stepBlockRows1s(dst, p, w, width, base, lo, hi, off, adj)
+			}
+			base += lanes
+		}
+		return
+	}
 	switch width {
 	case 8: // the DefaultBlockSize fast path, constant stride
-		if useAVX2 {
-			stepRows8AVX(dst, p, w, off, adj, 64, lo, hi, c.lazy)
-			return
-		}
 		c.stepBlockRows8(dst, p, w, lo, hi, off, adj)
 		return
 	case 4:
-		if useAVX2 {
-			stepRows4AVX(dst, p, w, off, adj, 32, lo, hi, c.lazy)
-			return
-		}
 		c.stepBlockRows4(dst, p, w, lo, hi, off, adj)
 		return
 	}
-	base := 0
-	for rem := width; rem > 0; {
-		switch {
-		case rem >= 8:
-			if useAVX2 {
-				stepRows8AVX(dst[base:], p[base:], w[base:], off, adj, width*8, lo, hi, c.lazy)
-			} else {
-				c.stepBlockRows8s(dst, p, w, width, base, lo, hi, off, adj)
-			}
-			base, rem = base+8, rem-8
-		case rem >= 4:
-			if useAVX2 {
-				stepRows4AVX(dst[base:], p[base:], w[base:], off, adj, width*8, lo, hi, c.lazy)
-			} else {
-				c.stepBlockRows4s(dst, p, w, width, base, lo, hi, off, adj)
-			}
-			base, rem = base+4, rem-4
-		case rem >= 2:
+	for base := 0; base < width; {
+		lanes := groupLanes(width - base)
+		switch lanes {
+		case 8:
+			c.stepBlockRows8s(dst, p, w, width, base, lo, hi, off, adj)
+		case 4:
+			c.stepBlockRows4s(dst, p, w, width, base, lo, hi, off, adj)
+		case 2:
 			c.stepBlockRows2s(dst, p, w, width, base, lo, hi, off, adj)
-			base, rem = base+2, rem-2
 		default:
 			c.stepBlockRows1s(dst, p, w, width, base, lo, hi, off, adj)
-			base, rem = base+1, rem-1
 		}
+		base += lanes
 	}
 }
 
@@ -324,23 +343,23 @@ func (c *Chain) stepBlockRows1s(dst, p, w []float64, stride, base, lo, hi int, o
 // every column; per-column accumulation order matches TVDistance.
 func (c *Chain) blockTV(p []float64, width int, tv []float64) {
 	tv = tv[:width]
-	if width == 8 && useAVX2 {
-		blockTV8AVX(p, c.pi, len(c.pi), (*[8]float64)(tv))
+	if width == 1 {
+		tv[0] = c.tvColumn(p, 1, 0) / 2
+		return
+	}
+	if useAVX2 {
+		for base := 0; base < width; {
+			lanes := groupLanes(width - base)
+			if lanes == 1 {
+				tv[base] = c.tvColumn(p, width, base)
+			} else {
+				blockTVAVX(p[base:], c.pi, len(c.pi), width*8, lanes, tv[base:])
+			}
+			base += lanes
+		}
 		for j := range tv {
 			tv[j] /= 2
 		}
-		return
-	}
-	if width == 1 { // flat accumulation, no per-row slices
-		var s float64
-		for v, pv := range c.pi {
-			d := p[v] - pv
-			if d < 0 {
-				d = -d
-			}
-			s += d
-		}
-		tv[0] = s / 2
 		return
 	}
 	for j := range tv {
@@ -359,6 +378,21 @@ func (c *Chain) blockTV(p []float64, width int, tv []float64) {
 	for j := range tv {
 		tv[j] /= 2
 	}
+}
+
+// tvColumn returns Σ_v |p[v][col] − π_v| for one column of the
+// stride-wide row-major p, rows in ascending order (the caller
+// halves).
+func (c *Chain) tvColumn(p []float64, stride, col int) float64 {
+	var s float64
+	for v, pv := range c.pi {
+		d := p[v*stride+col] - pv
+		if d < 0 {
+			d = -d
+		}
+		s += d
+	}
+	return s
 }
 
 // blockBuffers is one worker's reusable propagation state: two

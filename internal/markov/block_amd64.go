@@ -57,16 +57,24 @@ func stepRows8AVX(dst, p, w []float64, off []uint32, adj []graph.NodeID, strideB
 //go:noescape
 func stepRows4AVX(dst, p, w []float64, off []uint32, adj []graph.NodeID, strideBytes, lo, hi int, lazy bool)
 
-// blockTV8AVX accumulates, for each of the 8 columns of the n×8
-// row-major p, Σ_v |p[v][j] − pi[v]| into tv[j] (the caller halves).
-// Lane j is column j and rows are scanned in ascending order, so the
-// per-column summation order matches the scalar blockTV.
+// stepRows2AVX is stepRows8AVX for a 2-column group (one XMM
+// register per row).
 //
 //go:noescape
-func blockTV8AVX(p, pi []float64, n int, tv *[8]float64)
+func stepRows2AVX(dst, p, w []float64, off []uint32, adj []graph.NodeID, strideBytes, lo, hi int, lazy bool)
 
-// scale8AVX computes w[v][j] = p[v][j] * inv[v] over an n×8 row-major
-// block — the width-8 prescale pass.
+// blockTVAVX accumulates, for each of the lanes (8, 4 or 2)
+// columns of one group of a strideBytes-wide row-major block,
+// Σ_v |p[v][j] − pi[v]| into tv[j] (the caller halves). p and tv are
+// offset to the group's first column. Lane j is column j and rows are
+// scanned in ascending order, so the per-column summation order
+// matches the scalar blockTV.
 //
 //go:noescape
-func scale8AVX(w, p, inv []float64, n int)
+func blockTVAVX(p, pi []float64, n, strideBytes, lanes int, tv []float64)
+
+// scaleAVX computes w[v][j] = p[v][j] * inv[v] over an n×width
+// row-major block — the prescale pass, at any width.
+//
+//go:noescape
+func scaleAVX(w, p, inv []float64, n, width int)

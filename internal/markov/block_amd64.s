@@ -164,61 +164,206 @@ done4:
 	VZEROUPPER
 	RET
 
-// func blockTV8AVX(p, pi []float64, n int, tv *[8]float64)
-TEXT ·blockTV8AVX(SB), NOSPLIT, $0-64
+// func stepRows2AVX(dst, p, w []float64, off []uint32, adj []graph.NodeID, strideBytes, lo, hi int, lazy bool)
+//
+// The 2-column twin: one XMM accumulator (the low half of a YMM
+// register), 16-byte row groups. Narrow-tail blocks (sources mod 8
+// ≡ 2, 3, 6 or 7) run here instead of in scalar Go.
+TEXT ·stepRows2AVX(SB), NOSPLIT, $0-145
+	MOVQ dst_base+0(FP), DI
+	MOVQ p_base+24(FP), R15
+	MOVQ w_base+48(FP), SI
+	MOVQ off_base+72(FP), R8
+	MOVQ adj_base+96(FP), R9
+	MOVQ strideBytes+120(FP), R13
+	MOVQ lo+128(FP), R10
+	MOVQ hi+136(FP), R11
+	MOVBLZX lazy+144(FP), R12
+	MOVQ R10, DX
+	IMULQ R13, DX
+	ADDQ DX, DI
+	ADDQ DX, R15
+	VBROADCASTSD half<>(SB), Y15
+
+row2:
+	CMPQ R10, R11
+	JGE  done2
+	MOVL (R8)(R10*4), AX
+	MOVL 4(R8)(R10*4), BX
+	VXORPD X0, X0, X0
+	CMPQ AX, BX
+	JGE  epi2
+	PCALIGN $32 // as for edge8
+
+edge2:
+	MOVL (R9)(AX*4), DX
+	IMULQ R13, DX
+	VADDPD (SI)(DX*1), X0, X0
+	INCQ AX
+	CMPQ AX, BX
+	JL   edge2
+
+epi2:
+	TESTB R12, R12
+	JZ   store2
+	VMOVUPD (R15), X2
+	VMULPD X15, X0, X0
+	VMULPD X15, X2, X2
+	VADDPD X2, X0, X0
+
+store2:
+	VMOVUPD X0, (DI)
+	ADDQ R13, DI
+	ADDQ R13, R15
+	INCQ R10
+	JMP  row2
+
+done2:
+	VZEROUPPER
+	RET
+
+// func blockTVAVX(p, pi []float64, n, strideBytes, lanes int, tv []float64)
+//
+// Accumulates Σ_v |p[v][j] − π_v| into tv[j] for the lanes (8, 4 or
+// 2) columns of one group; p is offset to the group's first column
+// and strideBytes is the block row stride. Lane j is column j and rows
+// are scanned in ascending order, so the per-column summation order
+// matches the scalar blockTV.
+TEXT ·blockTVAVX(SB), NOSPLIT, $0-96
 	MOVQ p_base+0(FP), SI
 	MOVQ pi_base+24(FP), R8
 	MOVQ n+48(FP), CX
-	MOVQ tv+56(FP), DI
+	MOVQ strideBytes+56(FP), R13
+	MOVQ lanes+64(FP), R11
+	MOVQ tv_base+72(FP), DI
 	VBROADCASTSD absmask<>(SB), Y14
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
+	CMPQ R11, $8
+	JEQ  tv8
+	CMPQ R11, $4
+	JEQ  tv4
 
-tvloop:
+tv2:
 	TESTQ CX, CX
-	JZ   tvdone
+	JZ   tv2done
 	VBROADCASTSD (R8), Y2 // π_v
+	VMOVUPD (SI), X3
+	VSUBPD X2, X3, X3     // p_row − π_v
+	VANDPD X14, X3, X3    // |·|
+	VADDPD X3, X0, X0
+	ADDQ $8, R8
+	ADDQ R13, SI
+	DECQ CX
+	JMP  tv2
+
+tv2done:
+	VMOVUPD X0, (DI)
+	VZEROUPPER
+	RET
+
+tv4:
+	TESTQ CX, CX
+	JZ   tv4done
+	VBROADCASTSD (R8), Y2
+	VMOVUPD (SI), Y3
+	VSUBPD Y2, Y3, Y3
+	VANDPD Y14, Y3, Y3
+	VADDPD Y3, Y0, Y0
+	ADDQ $8, R8
+	ADDQ R13, SI
+	DECQ CX
+	JMP  tv4
+
+tv4done:
+	VMOVUPD Y0, (DI)
+	VZEROUPPER
+	RET
+
+tv8:
+	TESTQ CX, CX
+	JZ   tv8done
+	VBROADCASTSD (R8), Y2
 	VMOVUPD (SI), Y3
 	VMOVUPD 32(SI), Y4
-	VSUBPD Y2, Y3, Y3     // p_row − π_v
+	VSUBPD Y2, Y3, Y3
 	VSUBPD Y2, Y4, Y4
-	VANDPD Y14, Y3, Y3    // |·|
+	VANDPD Y14, Y3, Y3
 	VANDPD Y14, Y4, Y4
 	VADDPD Y3, Y0, Y0
 	VADDPD Y4, Y1, Y1
 	ADDQ $8, R8
-	ADDQ $64, SI
+	ADDQ R13, SI
 	DECQ CX
-	JMP  tvloop
+	JMP  tv8
 
-tvdone:
+tv8done:
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VZEROUPPER
 	RET
 
-// func scale8AVX(w, p, inv []float64, n int)
-TEXT ·scale8AVX(SB), NOSPLIT, $0-80
+// func scaleAVX(w, p, inv []float64, n, width int)
+//
+// The prescale pass w[v][j] = p[v][j] * inv[v] over an n×width
+// row-major block, any width: per row, 8- and 4-column YMM chunks,
+// then a 2-column XMM and a 1-column scalar remainder. Each element
+// is one multiply, so the chunking cannot change a bit.
+TEXT ·scaleAVX(SB), NOSPLIT, $0-88
 	MOVQ w_base+0(FP), DI
 	MOVQ p_base+24(FP), SI
 	MOVQ inv_base+48(FP), R8
 	MOVQ n+72(FP), CX
+	MOVQ width+80(FP), R11
 
-scloop:
+scrow:
 	TESTQ CX, CX
 	JZ   scdone
 	VBROADCASTSD (R8), Y2 // 1/deg(v)
-	VMOVUPD (SI), Y0
-	VMOVUPD 32(SI), Y1
-	VMULPD Y2, Y0, Y0
-	VMULPD Y2, Y1, Y1
+	MOVQ R11, DX
+
+sc8:
+	CMPQ DX, $8
+	JL   sc4
+	VMULPD (SI), Y2, Y0
+	VMULPD 32(SI), Y2, Y1
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
-	ADDQ $8, R8
 	ADDQ $64, SI
 	ADDQ $64, DI
+	SUBQ $8, DX
+	JMP  sc8
+
+sc4:
+	CMPQ DX, $4
+	JL   sc2
+	VMULPD (SI), Y2, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $4, DX
+
+sc2:
+	CMPQ DX, $2
+	JL   sc1
+	VMULPD (SI), X2, X0
+	VMOVUPD X0, (DI)
+	ADDQ $16, SI
+	ADDQ $16, DI
+	SUBQ $2, DX
+
+sc1:
+	TESTQ DX, DX
+	JZ   scnext
+	VMULSD (SI), X2, X0
+	VMOVSD X0, (DI)
+	ADDQ $8, SI
+	ADDQ $8, DI
+
+scnext:
+	ADDQ $8, R8
 	DECQ CX
-	JMP  scloop
+	JMP  scrow
 
 scdone:
 	VZEROUPPER

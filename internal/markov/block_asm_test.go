@@ -9,10 +9,10 @@ import (
 
 // TestAVXKernelsBitIdentical runs StepBlock and blockTV with the AVX2
 // kernels enabled and disabled and demands bit-for-bit identical
-// outputs at every width the dispatcher special-cases (constant
-// strides 8 and 4, composite 16, and the tail decompositions), lazy
-// and plain. Skipped where the CPU lacks AVX2 — there the pure-Go
-// kernels are the only implementation.
+// outputs at every width up to 8 — each tail group shape: 8, 4, 2
+// and 1 columns and their combinations — and at the composite widths
+// 12 and 16, lazy and plain. Skipped where the CPU lacks AVX2 — there
+// the pure-Go kernels are the only implementation.
 func TestAVXKernelsBitIdentical(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("AVX2 unavailable; pure-Go kernels are the only path")
@@ -29,10 +29,12 @@ func TestAVXKernelsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, width := range []int{4, 5, 7, 8, 12, 16} {
+		for _, width := range []int{1, 2, 3, 4, 5, 6, 7, 8, 12, 16} {
+			// Entries straddle π, so the TV kernels' absolute values
+			// see both signs.
 			p := make([]float64, n*width)
 			for i := range p {
-				p[i] = rng.Float64()
+				p[i] = 2 * rng.Float64() * c.pi[i/width]
 			}
 			qAsm := make([]float64, n*width)
 			qGo := make([]float64, n*width)

@@ -16,10 +16,14 @@ func stepRows4AVX(dst, p, w []float64, off []uint32, adj []graph.NodeID, strideB
 	panic("markov: AVX2 kernel called on non-amd64")
 }
 
-func blockTV8AVX(p, pi []float64, n int, tv *[8]float64) {
+func stepRows2AVX(dst, p, w []float64, off []uint32, adj []graph.NodeID, strideBytes, lo, hi int, lazy bool) {
 	panic("markov: AVX2 kernel called on non-amd64")
 }
 
-func scale8AVX(w, p, inv []float64, n int) {
+func blockTVAVX(p, pi []float64, n, strideBytes, lanes int, tv []float64) {
+	panic("markov: AVX2 kernel called on non-amd64")
+}
+
+func scaleAVX(w, p, inv []float64, n, width int) {
 	panic("markov: AVX2 kernel called on non-amd64")
 }

@@ -3,11 +3,13 @@ package markov
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
 	"mixtime/internal/gen"
 	"mixtime/internal/graph"
+	"mixtime/internal/telemetry"
 )
 
 // blockFixtures are the graphs the blocked kernels must match the
@@ -94,26 +96,61 @@ func TestTraceBlockMatchesTraceFrom(t *testing.T) {
 	}
 }
 
+// TestTraceSampleBlockedMatchesSequential demands every blocked trace
+// equal a per-source TraceFrom bit for bit, lazy and plain, for any
+// block size and worker count, and that edges_scanned counts the CSR
+// passes actually run: one per register group of 8, 4, 2 or 1
+// columns, per block and step.
 func TestTraceSampleBlockedMatchesSequential(t *testing.T) {
+	const maxT = 25
 	for name, g := range blockFixtures(t) {
-		c := mustChain(t, g)
-		// Seven sources: odd tails for every block size below, and the
-		// degenerate blockSize=1 path.
 		n := g.NumNodes()
-		sources := []graph.NodeID{0, 2, 5, graph.NodeID(n / 3), graph.NodeID(n / 2),
+		// Seven sources: odd tails for every block size below, and the
+		// degenerate blockSize=1 path. Fifty at the default block size
+		// is the paper-figs shape: six 8-wide blocks and a 2-wide tail.
+		seven := []graph.NodeID{0, 2, 5, graph.NodeID(n / 3), graph.NodeID(n / 2),
 			graph.NodeID(n - 2), graph.NodeID(n - 1)}
-		want := c.TraceSample(sources, 25)
-		for _, blockSize := range []int{0, 1, 2, 3, 8, 16} {
-			for _, workers := range []int{0, 1, 2, 4} {
-				got, err := c.TraceSampleBlockedContext(context.Background(),
-					sources, 25, blockSize, workers, nil)
-				if err != nil {
-					t.Fatalf("%s B=%d workers=%d: %v", name, blockSize, workers, err)
+		fifty := SampleSources(g, 50, rand.New(rand.NewPCG(3, 5)))
+		for _, lazyOpt := range [][]Option{nil, {Lazy()}} {
+			c := mustChain(t, g, lazyOpt...)
+			for _, sources := range [][]graph.NodeID{seven, fifty} {
+				want := c.TraceSample(sources, maxT)
+				for _, blockSize := range []int{0, 1, 2, 3, 8, 16} {
+					for _, workers := range []int{0, 1, 2, 4} {
+						col := telemetry.New()
+						cc := mustChain(t, g, append(lazyOpt, WithCollector(col))...)
+						got, err := cc.TraceSampleBlockedContext(context.Background(),
+							sources, maxT, blockSize, workers, nil)
+						label := fmt.Sprintf("%s lazy=%v sources=%d B=%d workers=%d",
+							name, cc.IsLazy(), len(sources), blockSize, workers)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						mustEqualTraces(t, label, got, want)
+						wantEdges := int64(groupPasses(len(sources), blockSize)*maxT) * 2 * g.NumEdges()
+						if got := col.Snapshot().Get(telemetry.EdgesScanned); got != wantEdges {
+							t.Fatalf("%s: edges_scanned = %d, want %d", label, got, wantEdges)
+						}
+					}
 				}
-				mustEqualTraces(t, name, got, want)
 			}
 		}
 	}
+}
+
+// groupPasses counts the CSR passes one step of every block costs
+// when total sources are cut into blocks of blockSize (8 when 0) and
+// each block into greedy 8-, 4-, 2- and 1-column register groups.
+func groupPasses(total, blockSize int) int {
+	if blockSize <= 0 {
+		blockSize = DefaultBlockSize
+	}
+	passes := 0
+	for lo := 0; lo < total; lo += blockSize {
+		b := min(blockSize, total-lo)
+		passes += b/8 + b%8/4 + b%4/2 + b%2
+	}
+	return passes
 }
 
 func TestTraceSampleBlockedProgress(t *testing.T) {

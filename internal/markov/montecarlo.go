@@ -20,8 +20,9 @@ import (
 // the paper uses). Kept as an ablation and as a cross-check.
 //
 // The walker loop draws from a private fastrand.PCG derived from rng
-// (one Uint64), so moves cost an inlined PCG32 step and a Lemire
-// bounded draw instead of an interface dispatch per neighbor pick.
+// (one Uint64), so each move costs one direct PCG.Uint32n call (a
+// PCG32 step and a Lemire bounded draw; the call is not inlined)
+// instead of an interface dispatch per neighbor pick.
 // Results are still a pure function of rng's seed, but the stream
 // differs from the pre-fastrand one.
 func (c *Chain) MCTrace(src graph.NodeID, maxT, walks int, rng *rand.Rand) *Trace {

@@ -45,6 +45,11 @@ type cache struct {
 	mu      sync.Mutex
 	entries map[string]*entry
 	order   []string // completed fingerprints, oldest first
+	// writes counts committed solves whose store work (write-through,
+	// eviction removals) has not finished; stored broadcasts on mu
+	// when it drops to zero. Both are guarded by mu.
+	writes int
+	stored *sync.Cond
 }
 
 // entry is one fingerprint's slot: in flight until done closes,
@@ -64,13 +69,15 @@ func newCache(base context.Context, timeout time.Duration, max int, col *telemet
 	if max <= 0 {
 		max = 4096
 	}
-	return &cache{
+	c := &cache{
 		base:    base,
 		timeout: timeout,
 		col:     col,
 		max:     max,
 		entries: map[string]*entry{},
 	}
+	c.stored = sync.NewCond(&c.mu)
+	return c
 }
 
 // attachStore enables write-through persistence. Call before the
@@ -168,7 +175,9 @@ func (c *cache) do(ctx context.Context, fp, tag, hash string, solve func(context
 // run executes the solve and commits the outcome: successes stay
 // cached (with FIFO eviction, write-through to the store when one is
 // attached), failures free the slot so the next identical request
-// retries.
+// retries. The store work runs after the waiters are released, so it
+// is counted in writes before done closes: a request answered from
+// this entry cannot finish before flush knows to wait for its file.
 func (c *cache) run(sctx context.Context, e *entry, solve func(context.Context) (*api.Response, error)) {
 	resp, err := solve(sctx)
 	e.cancel()
@@ -176,6 +185,9 @@ func (c *cache) run(sctx context.Context, e *entry, solve func(context.Context) 
 	owned := false
 	c.mu.Lock()
 	e.resp, e.err = resp, err
+	if c.store != nil {
+		c.writes++
+	}
 	close(e.done)
 	if err != nil {
 		// Only forget the entry if it is still ours: a failed solve may
@@ -199,6 +211,7 @@ func (c *cache) run(sctx context.Context, e *entry, solve func(context.Context) 
 	if c.store == nil {
 		return
 	}
+	defer c.storeDone()
 	for _, fp := range evicted {
 		c.store.remove(fp)
 	}
@@ -213,6 +226,28 @@ func (c *cache) run(sctx context.Context, e *entry, solve func(context.Context) 
 			c.col.Add(telemetry.ServicePersistWrites, 1)
 		}
 	}
+}
+
+// storeDone retires one solve's store work and wakes flush when none
+// is left.
+func (c *cache) storeDone() {
+	c.mu.Lock()
+	c.writes--
+	if c.writes == 0 {
+		c.stored.Broadcast()
+	}
+	c.mu.Unlock()
+}
+
+// flush blocks until the store work of every solve committed so far
+// has finished, so each result already handed to a requester is on
+// disk. Solves still running are not waited for.
+func (c *cache) flush() {
+	c.mu.Lock()
+	for c.writes > 0 {
+		c.stored.Wait()
+	}
+	c.mu.Unlock()
 }
 
 // evictTag removes every completed entry tagged with the graph name —

@@ -416,3 +416,44 @@ func TestReadEndpointsRejectNonGET(t *testing.T) {
 		t.Errorf("GET /v1/mutate = %d, want 405", hres.StatusCode)
 	}
 }
+
+// TestDrainWaitsForWriteThroughs: a result's write-through runs after
+// its requesters are released, so Drain must wait for it as well as
+// for the requests — every result answered before Drain is on disk
+// when Drain returns, which a graceful mixtimed shutdown relies on.
+func TestDrainWaitsForWriteThroughs(t *testing.T) {
+	// The write lands a fraction of a millisecond after the answer, so
+	// a missing wait shows in roughly a third of the trials.
+	const queries, trials = 8, 20
+	for trial := 0; trial < trials; trial++ {
+		dir := t.TempDir()
+		s, c := newRobustServer(t, Config{CacheDir: dir}, false)
+		var wg sync.WaitGroup
+		errs := make(chan error, queries)
+		for i := 0; i < queries; i++ {
+			wg.Add(1)
+			go func(seed uint64) {
+				defer wg.Done()
+				p := tinyParams()
+				p.Seed = seed
+				_, err := c.Query(context.Background(), api.Request{Op: api.OpSLEM, Graph: "physics-1", Params: p})
+				errs <- err
+			}(uint64(trial*queries + i + 1))
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Drain()
+		files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != queries {
+			t.Fatalf("trial %d: %d of %d answered results on disk when Drain returned", trial, len(files), queries)
+		}
+	}
+}

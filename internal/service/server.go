@@ -185,15 +185,19 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Drain stops admission and waits for in-flight requests: the
-// graceful half of shutdown. The HTTP listener is closed by the
-// caller (http.Server.Shutdown); Drain makes the rejection explicit
-// for requests racing the close.
+// Drain stops admission and waits for in-flight requests and for the
+// write-throughs of every result they were answered with: the
+// graceful half of shutdown, after which a -cache-dir holds each
+// answered result. Solves that every requester abandoned are not
+// waited for. The HTTP listener is closed by the caller
+// (http.Server.Shutdown); Drain makes the rejection explicit for
+// requests racing the close.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
 	s.inflight.Wait()
+	s.cache.flush()
 }
 
 // enter admits one request unless the server is draining.

@@ -172,14 +172,17 @@ func SLEMPowerContext(ctx context.Context, g *graph.Graph, opt Options) (*Estima
 	return slemPower(ctx, op, opt)
 }
 
-// slemPower estimates µ by two deflated power iterations on shifted
-// operators: (S+I)/2 isolates λ₂ and (I−S)/2 isolates λ_n. Shifting
-// makes the restricted spectrum non-negative, so convergence is
-// monotone even when λ₂ ≈ −λ_n (near-bipartite graphs), at the cost
-// of a convergence rate governed by the shifted gap. This is the
-// simple, O(n)-memory method: Solve's fallback when Lanczos does not
-// converge, and the oracle the tests hold Lanczos against.
-func slemPower(ctx context.Context, op *Operator, opt Options) (*Estimate, error) {
+// Lambda2Power runs the λ₂ phase of power iteration alone: deflated
+// power iteration on (S+I)/2, warm-started from Options.Start when it
+// fits. It returns Lambda2, Vector2, Iters2 (= Iterations), Converged
+// and WarmStarted exactly as slemPower, which calls it, reports them;
+// LambdaN and Mu are NaN because the other end of the spectrum is
+// never looked at. Callers that need only λ₂ and its eigenvector —
+// the spectral sweep cut, a cold-start iteration count — skip the λ_n
+// phase, which on slowly converging graphs costs many times the λ₂
+// phase. The iteration checks ctx once per operator application and
+// returns the wrapped ctx.Err() when cancelled.
+func Lambda2Power(ctx context.Context, op *Operator, opt Options) (*Estimate, error) {
 	opt = opt.withDefaults(50_000)
 	if opt.Collector != nil && op.col == nil {
 		op.SetCollector(opt.Collector)
@@ -187,21 +190,49 @@ func slemPower(ctx context.Context, op *Operator, opt Options) (*Estimate, error
 	if op.Dim() < 2 {
 		return nil, errors.New("spectral: graph too small for SLEM")
 	}
-	// λ₂ from (S+I)/2; tolerance halves because λ₂ = 2ρ − 1.
-	hiOpt := opt
-	hiOpt.Tol = opt.Tol / 2
 	warm := len(opt.Start) == op.Dim()
 	if warm {
 		opt.Collector.Add(telemetry.EvolveWarmStarts, 1)
 	}
-	rhoHi, vec2, it1, ok1, err := powerExtreme(ctx, op, +1, 2, opt.Start, hiOpt)
+	// λ₂ from (S+I)/2; tolerance halves because λ₂ = 2ρ − 1.
+	hiOpt := opt
+	hiOpt.Tol = opt.Tol / 2
+	rho, vec2, iters, ok, err := powerExtreme(ctx, op, +1, 2, opt.Start, hiOpt)
 	if err != nil {
 		return nil, err
 	}
-	lambda2 := 2*rhoHi - 1
+	return &Estimate{
+		Mu:          math.NaN(),
+		Lambda2:     2*rho - 1,
+		LambdaN:     math.NaN(),
+		Iterations:  iters,
+		Iters2:      iters,
+		Converged:   ok,
+		WarmStarted: warm,
+		Vector2:     vec2,
+	}, nil
+}
+
+// slemPower estimates µ by two deflated power iterations on shifted
+// operators: (S+I)/2 isolates λ₂ (Lambda2Power) and (I−S)/2 isolates
+// λ_n. Shifting makes the restricted spectrum non-negative, so
+// convergence is monotone even when λ₂ ≈ −λ_n (near-bipartite
+// graphs), at the cost of a convergence rate governed by the shifted
+// gap. This is the simple, O(n)-memory method: Solve's fallback when
+// Lanczos does not converge, and the oracle the tests hold Lanczos
+// against.
+func slemPower(ctx context.Context, op *Operator, opt Options) (*Estimate, error) {
+	opt = opt.withDefaults(50_000)
+	est, err := Lambda2Power(ctx, op, opt)
+	if err != nil {
+		return nil, err
+	}
 
 	// λ_n from (I−S)/2: top eigenvalue there is (1−λ_n)/2. v₁ has
 	// eigenvalue 0 in this operator, so deflation is belt and braces.
+	// The phase always cold-starts — the λ₂ vector carries no
+	// information about the other end of the spectrum — so two solves
+	// on one operator at one Seed and Tol share λ_n bit for bit.
 	loOpt := opt
 	loOpt.Tol = opt.Tol / 2
 	loOpt.Seed = opt.Seed + 1
@@ -209,17 +240,10 @@ func slemPower(ctx context.Context, op *Operator, opt Options) (*Estimate, error
 	if err != nil {
 		return nil, err
 	}
-	lambdaN := 1 - 2*rhoLo
-
-	return &Estimate{
-		Mu:          math.Max(math.Abs(lambda2), math.Abs(lambdaN)),
-		Lambda2:     lambda2,
-		LambdaN:     lambdaN,
-		Iterations:  it1 + it2,
-		Iters2:      it1,
-		ItersN:      it2,
-		Converged:   ok1 && ok2,
-		WarmStarted: warm,
-		Vector2:     vec2,
-	}, nil
+	est.LambdaN = 1 - 2*rhoLo
+	est.Mu = math.Max(math.Abs(est.Lambda2), math.Abs(est.LambdaN))
+	est.Iterations += it2
+	est.ItersN = it2
+	est.Converged = est.Converged && ok2
+	return est, nil
 }

@@ -466,7 +466,7 @@ func TestSweepCutFindsBarbellBridge(t *testing.T) {
 	}
 }
 
-// Property: µ estimates always land in [0, 1] and sweep conductance
+// Property: λ₂ estimates always land in [−1, 1] and sweep conductance
 // respects the Cheeger upper bound.
 func TestQuickSweepCheeger(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -476,7 +476,7 @@ func TestQuickSweepCheeger(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if est.Mu < 0 || est.Mu > 1+1e-9 {
+		if est.Lambda2 < -1-1e-9 || est.Lambda2 > 1+1e-9 {
 			return false
 		}
 		_, hi := CheegerBounds(est.Lambda2)

@@ -108,12 +108,16 @@ func SweepCut(g *graph.Graph, score []float64) *Cut {
 	return best
 }
 
-// SweepConductanceContext estimates the λ₂ eigenvector by power
-// iteration and sweeps it. It returns the cut and the SLEM estimate
-// used; the iteration aborts with the wrapped ctx.Err() once ctx is
-// done.
+// SweepConductanceContext estimates the λ₂ eigenvector by the λ₂
+// phase of power iteration (Lambda2Power) and sweeps it. It returns
+// the cut and that λ₂-only estimate, whose LambdaN and Mu are NaN;
+// the iteration aborts with the wrapped ctx.Err() once ctx is done.
 func SweepConductanceContext(ctx context.Context, g *graph.Graph, opt Options) (*Cut, *Estimate, error) {
-	est, err := SLEMPowerContext(ctx, g, opt)
+	op, err := NewOperator(g)
+	if err != nil {
+		return nil, nil, err
+	}
+	est, err := Lambda2Power(ctx, op, opt)
 	if err != nil {
 		return nil, nil, err
 	}

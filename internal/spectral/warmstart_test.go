@@ -2,6 +2,8 @@ package spectral
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"strconv"
 	"testing"
@@ -185,5 +187,89 @@ func TestWarmStartTelemetry(t *testing.T) {
 	}
 	if got := col.Count(telemetry.EvolveWarmStarts); got != 1 {
 		t.Fatalf("evolve_warm_starts = %d, want 1", got)
+	}
+}
+
+// vectorBits hashes the exact bits of a vector (FNV-1a over its
+// little-endian float64 words), so a pinned test can compare a whole
+// eigenvector without spelling it out.
+func vectorBits(v []float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, x := range v {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestLambda2PowerMatchesSLEMPower: the λ₂ phase run on its own must
+// report exactly what the full power solve reports for λ₂ — value,
+// eigenvector and iteration count, bit for bit — from cold starts at
+// several seeds and from a warm start, and must leave the λ_n fields
+// unset rather than zero. The pins were recorded from
+// SLEMPowerContext before the λ₂ phase became its own function, so a
+// change inside that function cannot pass by moving both sides.
+func TestLambda2PowerMatchesSLEMPower(t *testing.T) {
+	ctx := context.Background()
+	ringChords := warmTestGraph(90)
+	random := connectedRandom(150, 60, 4)
+	rough, err := SLEMPowerContext(ctx, random, Options{Tol: 1e-4, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		g       *graph.Graph
+		opt     Options
+		lambda2 uint64 // math.Float64bits of λ₂
+		iters2  int
+		vector  uint64 // vectorBits of Vector2
+	}{
+		{"cold ring seed 1", ringChords, Options{Tol: 1e-9, Seed: 1}, 0x3fefa67e193d0036, 1073, 0xb5647433fa596755},
+		{"cold ring seed 2", ringChords, Options{Tol: 1e-9, Seed: 2}, 0x3fefa67e193d0034, 1149, 0x11091d708b707fa3},
+		{"cold ring seed 3", ringChords, Options{Tol: 1e-9, Seed: 3}, 0x3fefa67e193d0040, 1079, 0xed1dc95a4589cc25},
+		{"cold random seed 1", random, Options{Tol: 1e-8, Seed: 1}, 0x3fee1bd08770ebc4, 2316, 0x8186f04b6d7992ef},
+		{"cold random seed 2", random, Options{Tol: 1e-8, Seed: 2}, 0x3fee1bd08770ebc4, 2433, 0x778668a61139d736},
+		{"cold random seed 3", random, Options{Tol: 1e-8, Seed: 3}, 0x3fee1bd08770ebc8, 2833, 0xfc87f64d67fdb1ca},
+		{"warm random", random, Options{Tol: 1e-8, Seed: 2, Start: rough.Vector2}, 0x3fee1bd08770ebc2, 1507, 0xba2c5933642666b4},
+	}
+	for _, c := range cases {
+		full, err := SLEMPowerContext(ctx, c.g, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, err := NewOperator(c.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l2, err := Lambda2Power(ctx, op, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []struct {
+			who string
+			est *Estimate
+		}{{"Lambda2Power", l2}, {"SLEMPowerContext", full}} {
+			if got := math.Float64bits(e.est.Lambda2); got != c.lambda2 {
+				t.Errorf("%s: %s λ₂ bits %#x, pinned %#x", c.name, e.who, got, c.lambda2)
+			}
+			if e.est.Iters2 != c.iters2 {
+				t.Errorf("%s: %s λ₂ iterations %d, pinned %d", c.name, e.who, e.est.Iters2, c.iters2)
+			}
+			if got := vectorBits(e.est.Vector2); got != c.vector {
+				t.Errorf("%s: %s Vector2 bits %#x, pinned %#x", c.name, e.who, got, c.vector)
+			}
+			if e.est.WarmStarted != (c.opt.Start != nil) {
+				t.Errorf("%s: %s warm started %v", c.name, e.who, e.est.WarmStarted)
+			}
+		}
+		if l2.Iterations != l2.Iters2 || l2.ItersN != 0 || l2.Converged != full.Converged {
+			t.Errorf("%s: iterations %d/%d/%d converged %v, want %d/%d/0 and %v", c.name,
+				l2.Iterations, l2.Iters2, l2.ItersN, l2.Converged, full.Iters2, full.Iters2, full.Converged)
+		}
+		if !math.IsNaN(l2.LambdaN) || !math.IsNaN(l2.Mu) {
+			t.Errorf("%s: λ_n %v and µ %v reported by a λ₂-only solve", c.name, l2.LambdaN, l2.Mu)
+		}
 	}
 }

@@ -31,10 +31,10 @@ type DirectedEdge struct {
 // Random performs a plain random walk of the given length from start
 // and returns the full vertex trajectory (length+1 vertices). The
 // step loop draws from a private fastrand.PCG derived from rng (one
-// Uint64), so neighbor picks are an inlined PCG32 step plus a Lemire
-// bounded draw — no interface dispatch per hop. Trajectories are a
-// pure function of rng's seed but differ from the pre-fastrand
-// streams.
+// Uint64), so each neighbor pick is one direct call to PCG.Uint32n (a
+// PCG32 step plus Lemire's bounded draw) — no interface dispatch per
+// hop, though the call itself is not inlined. Trajectories are a pure
+// function of rng's seed but differ from the pre-fastrand streams.
 func Random(g *graph.Graph, start graph.NodeID, length int, rng *rand.Rand) []graph.NodeID {
 	pr := fastrand.FromRand(rng)
 	traj := make([]graph.NodeID, 0, length+1)
@@ -60,21 +60,37 @@ func Random(g *graph.Graph, start graph.NodeID, length int, rng *rand.Rand) []gr
 // Endpoint returns the final vertex of a plain random walk of the
 // given length from start. Same fastrand stream discipline as Random.
 func Endpoint(g *graph.Graph, start graph.NodeID, length int, rng *rand.Rand) graph.NodeID {
+	var end [1]graph.NodeID
+	Endpoints(g, start, []int{length}, rng, end[:])
+	return end[0]
+}
+
+// Endpoints walks once from start to the largest of the ascending
+// lengths and writes to ends[k] the vertex the walk occupies after
+// lengths[k] steps. It draws exactly as Endpoint does — one Uint64
+// from rng, then one PCG.Uint32n per step — so ends[k] equals what
+// Endpoint(g, start, lengths[k], rng) would return from rng's current
+// state: walks of several lengths from one stream share their prefix,
+// and Endpoints pays for the longest alone.
+func Endpoints(g *graph.Graph, start graph.NodeID, lengths []int, rng *rand.Rand, ends []graph.NodeID) {
 	pr := fastrand.FromRand(rng)
 	cur := start
-	if off := g.Offsets32(); off != nil {
-		adj := g.Adjacency()
-		for i := 0; i < length; i++ {
-			o := off[cur]
-			cur = adj[o+pr.Uint32n(off[cur+1]-o)]
+	t := 0
+	off, adj := g.Offsets32(), g.Adjacency()
+	for k, length := range lengths {
+		if off != nil {
+			for ; t < length; t++ {
+				o := off[cur]
+				cur = adj[o+pr.Uint32n(off[cur+1]-o)]
+			}
+		} else {
+			for ; t < length; t++ {
+				nb := g.Neighbors(cur)
+				cur = nb[pr.IntN(len(nb))]
+			}
 		}
-		return cur
+		ends[k] = cur
 	}
-	for i := 0; i < length; i++ {
-		adj := g.Neighbors(cur)
-		cur = adj[pr.IntN(len(adj))]
-	}
-	return cur
 }
 
 // Tail returns the last directed edge of a plain random walk of

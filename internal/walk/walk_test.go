@@ -34,6 +34,30 @@ func TestEndpointMatchesTrajectory(t *testing.T) {
 	}
 }
 
+// TestEndpointsArePrefixesOfOneWalk: Endpoints at ascending lengths
+// reads one walk's trajectory at each length — the same draws Random
+// makes from the same rng state — and leaves rng where one Endpoint
+// call would, however many lengths it serves.
+func TestEndpointsArePrefixesOfOneWalk(t *testing.T) {
+	g := gen.BarabasiAlbert(300, 2, rng(4))
+	lengths := []int{0, 1, 1, 2, 5, 17, 64, 65}
+	ends := make([]graph.NodeID, len(lengths))
+	for seed := uint64(1); seed <= 20; seed++ {
+		start := graph.NodeID(seed * 13 % 300)
+		a, b := rng(seed), rng(seed)
+		traj := Random(g, start, lengths[len(lengths)-1], a)
+		Endpoints(g, start, lengths, b, ends)
+		for k, l := range lengths {
+			if ends[k] != traj[l] {
+				t.Fatalf("seed %d: endpoint at length %d is %d, trajectory has %d", seed, l, ends[k], traj[l])
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("seed %d: Endpoints left rng in a different state than Random", seed)
+		}
+	}
+}
+
 func TestTailIsEdge(t *testing.T) {
 	g := gen.Complete(8)
 	e := Tail(g, 0, 10, rng(3))

@@ -30,17 +30,13 @@ type Key uint64
 // ringDist returns the clockwise distance from a to b.
 func ringDist(a, b Key) uint64 { return uint64(b - a) }
 
-// record is a (key → owner) binding.
-type record struct {
-	key   Key
-	owner graph.NodeID
-}
-
-// node is one participant's routing state.
+// node is one participant's routing state. Tables hold record owners
+// only: the record v stores is (keys[v] → v), so an owner names its
+// record and the key is read back as keys[owner].
 type node struct {
 	id         Key
-	fingers    []record // walk-sampled (id, node) pairs, sorted by id
-	successors []record // records following id on the ring
+	fingers    []graph.NodeID // walk-sampled record owners, sorted by key
+	successors []graph.NodeID // owners of the records closest after id
 }
 
 // Config parameterizes table construction.
@@ -59,10 +55,7 @@ type Config struct {
 	Seed uint64
 }
 
-func (c Config) withDefaults(n int) (Config, error) {
-	if c.W < 1 {
-		return c, errors.New("whanau: walk length W must be ≥ 1")
-	}
+func (c Config) withDefaults(n int) Config {
 	root := 1
 	for root*root < n {
 		root++
@@ -79,7 +72,7 @@ func (c Config) withDefaults(n int) (Config, error) {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	return c, nil
+	return c
 }
 
 // DHT is a built Whānau instance over a social graph.
@@ -91,53 +84,100 @@ type DHT struct {
 }
 
 // Build constructs the DHT: every node draws its key, then samples
-// fingers and successors by random walks of length cfg.W.
+// fingers and successors by random walks of length cfg.W. It is
+// BuildLengths at the one length cfg.W.
 func Build(g *graph.Graph, cfg Config) (*DHT, error) {
+	ds, err := BuildLengths(g, cfg, []int{cfg.W})
+	if err != nil {
+		return nil, err
+	}
+	return ds[0], nil
+}
+
+// BuildLengths builds one DHT per walk length in the ascending list
+// ws, ignoring cfg.W: ds[k] is the DHT Build returns for cfg with
+// W = ws[k], table for table. Construction draws the keys and then one
+// walk stream per sample from the same seeded rng in the same order
+// whatever W is, so sample i of node v at length ws[k] is the
+// ws[k]-step prefix of that sample at the largest length. Each sample
+// is therefore walked once, to the largest length, and its endpoint
+// at every requested length goes to that length's tables. The DHTs
+// share one key array.
+func BuildLengths(g *graph.Graph, cfg Config, ws []int) ([]*DHT, error) {
 	n := g.NumNodes()
 	if n < 2 || g.MinDegree() < 1 {
 		return nil, errors.New("whanau: graph unsuitable (need connected component)")
 	}
-	cfg, err := cfg.withDefaults(n)
-	if err != nil {
-		return nil, err
+	if len(ws) == 0 {
+		return nil, errors.New("whanau: no walk length")
 	}
+	for k, w := range ws {
+		if w < 1 {
+			return nil, errors.New("whanau: walk length W must be ≥ 1")
+		}
+		if k > 0 && w < ws[k-1] {
+			return nil, errors.New("whanau: walk lengths must ascend")
+		}
+	}
+	cfg = cfg.withDefaults(n)
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x3a0a))
-	d := &DHT{g: g, cfg: cfg, keys: make([]Key, n), nodes: make([]node, n)}
-	for v := range d.keys {
-		d.keys[v] = Key(rng.Uint64())
+	keys := make([]Key, n)
+	for v := range keys {
+		keys[v] = Key(rng.Uint64())
 	}
+	nf, nc := cfg.Fingers, cfg.SuccessorCandidates
+	ns := min(cfg.Successors, nc)
+	ds := make([]*DHT, len(ws))
+	for k, w := range ws {
+		c := cfg
+		c.W = w
+		d := &DHT{g: g, cfg: c, keys: keys, nodes: make([]node, n)}
+		fingers := make([]graph.NodeID, n*nf)
+		successors := make([]graph.NodeID, n*ns)
+		for v := range d.nodes {
+			d.nodes[v].fingers = fingers[v*nf : (v+1)*nf : (v+1)*nf]
+			d.nodes[v].successors = successors[v*ns : (v+1)*ns : (v+1)*ns]
+		}
+		ds[k] = d
+	}
+	byKey := func(a, b graph.NodeID) int { return cmp.Compare(keys[a], keys[b]) }
+	ends := make([]graph.NodeID, len(ws))
+	cand := make([]graph.NodeID, len(ws)*nc) // length k's candidates at [k*nc, (k+1)*nc)
 	for v := 0; v < n; v++ {
-		nd := &d.nodes[v]
+		start := graph.NodeID(v)
 		// Layer-0 ID: the key of a random walk sample (the protocol's
 		// ID sampling; using a sampled key rather than one's own makes
 		// IDs distributed like the records the tables must cover).
-		idOwner := walk.Endpoint(g, graph.NodeID(v), cfg.W, rng)
-		nd.id = d.keys[idOwner]
-
-		// Fingers: walk endpoints with their IDs — here their record
-		// keys, since IDs are key samples.
-		nd.fingers = make([]record, 0, cfg.Fingers)
-		for i := 0; i < cfg.Fingers; i++ {
-			e := walk.Endpoint(g, graph.NodeID(v), cfg.W, rng)
-			nd.fingers = append(nd.fingers, record{key: d.keys[e], owner: e})
+		walk.Endpoints(g, start, ws, rng, ends)
+		for k, e := range ends {
+			ds[k].nodes[v].id = keys[e]
 		}
-		slices.SortFunc(nd.fingers, func(a, b record) int { return cmp.Compare(a.key, b.key) })
-
+		// Fingers: walk endpoints, keyed by their records — IDs are
+		// key samples.
+		for i := 0; i < nf; i++ {
+			walk.Endpoints(g, start, ws, rng, ends)
+			for k, e := range ends {
+				ds[k].nodes[v].fingers[i] = e
+			}
+		}
 		// Successors: sample records and keep those closest after id.
-		cand := make([]record, 0, cfg.SuccessorCandidates)
-		for i := 0; i < cfg.SuccessorCandidates; i++ {
-			e := walk.Endpoint(g, graph.NodeID(v), cfg.W, rng)
-			cand = append(cand, record{key: d.keys[e], owner: e})
+		for i := 0; i < nc; i++ {
+			walk.Endpoints(g, start, ws, rng, ends)
+			for k, e := range ends {
+				cand[k*nc+i] = e
+			}
 		}
-		slices.SortFunc(cand, func(a, b record) int {
-			return cmp.Compare(ringDist(nd.id, a.key), ringDist(nd.id, b.key))
-		})
-		if len(cand) > cfg.Successors {
-			cand = cand[:cfg.Successors]
+		for k, d := range ds {
+			nd := &d.nodes[v]
+			slices.SortFunc(nd.fingers, byKey)
+			c := cand[k*nc : (k+1)*nc]
+			slices.SortFunc(c, func(a, b graph.NodeID) int {
+				return cmp.Compare(ringDist(nd.id, keys[a]), ringDist(nd.id, keys[b]))
+			})
+			copy(nd.successors, c)
 		}
-		nd.successors = cand
 	}
-	return d, nil
+	return ds, nil
 }
 
 // KeyOf returns the record key stored by v.
@@ -159,15 +199,14 @@ func (d *DHT) Lookup(source graph.NodeID, target Key) (owner graph.NodeID, queri
 	}
 	cands := make([]cand, len(src.fingers))
 	for i, f := range src.fingers {
-		cands[i] = cand{dist: ringDist(f.key, target), idx: i}
+		cands[i] = cand{dist: ringDist(d.keys[f], target), idx: i}
 	}
 	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.dist, b.dist) })
 	for _, c := range cands {
 		queries++
-		f := src.fingers[c.idx]
-		for _, s := range d.nodes[f.owner].successors {
-			if s.key == target {
-				return s.owner, queries, true
+		for _, s := range d.nodes[src.fingers[c.idx]].successors {
+			if d.keys[s] == target {
+				return s, queries, true
 			}
 		}
 	}

@@ -1,11 +1,15 @@
 package whanau
 
 import (
+	"cmp"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"mixtime/internal/datasets"
 	"mixtime/internal/gen"
 	"mixtime/internal/graph"
+	"mixtime/internal/walk"
 )
 
 func rng(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, 0x3a)) }
@@ -34,7 +38,7 @@ func TestTableSizes(t *testing.T) {
 	// Fingers sorted, successors ring-orderd after id.
 	f := d.nodes[0].fingers
 	for i := 1; i < len(f); i++ {
-		if f[i-1].key > f[i].key {
+		if d.keys[f[i-1]] > d.keys[f[i]] {
 			t.Fatal("fingers unsorted")
 		}
 	}
@@ -107,5 +111,120 @@ func TestQueriesBounded(t *testing.T) {
 	_, queries, _ := d.Lookup(0, 0xdeadbeef) // random target, likely miss
 	if queries > 9 {
 		t.Fatalf("%d queries with 9 fingers", queries)
+	}
+}
+
+// refTables builds one length's tables the way the construction was
+// first written — every sample its own walk.Endpoint call, tables of
+// (key, owner) records — and returns each node's id and the owners of
+// its fingers and successors in table order: the oracle BuildLengths'
+// shared walks and owner-only tables are held to.
+func refTables(g *graph.Graph, cfg Config) (ids []Key, fingers, successors [][]graph.NodeID) {
+	type record struct {
+		key   Key
+		owner graph.NodeID
+	}
+	owners := func(rs []record) []graph.NodeID {
+		out := make([]graph.NodeID, len(rs))
+		for i, r := range rs {
+			out[i] = r.owner
+		}
+		return out
+	}
+	n := g.NumNodes()
+	cfg = cfg.withDefaults(n)
+	r := rand.New(rand.NewPCG(cfg.Seed, 0x3a0a))
+	keys := make([]Key, n)
+	for v := range keys {
+		keys[v] = Key(r.Uint64())
+	}
+	for v := 0; v < n; v++ {
+		id := keys[walk.Endpoint(g, graph.NodeID(v), cfg.W, r)]
+		var fs, cs []record
+		for i := 0; i < cfg.Fingers; i++ {
+			e := walk.Endpoint(g, graph.NodeID(v), cfg.W, r)
+			fs = append(fs, record{key: keys[e], owner: e})
+		}
+		slices.SortFunc(fs, func(a, b record) int { return cmp.Compare(a.key, b.key) })
+		for i := 0; i < cfg.SuccessorCandidates; i++ {
+			e := walk.Endpoint(g, graph.NodeID(v), cfg.W, r)
+			cs = append(cs, record{key: keys[e], owner: e})
+		}
+		slices.SortFunc(cs, func(a, b record) int {
+			return cmp.Compare(ringDist(id, a.key), ringDist(id, b.key))
+		})
+		ids = append(ids, id)
+		fingers = append(fingers, owners(fs))
+		successors = append(successors, owners(cs[:min(len(cs), cfg.Successors)]))
+	}
+	return ids, fingers, successors
+}
+
+// TestBuildLengthsMatchesPerLengthBuild: one shared walk per sample
+// must yield, at every length w = 1…64, exactly the tables (ids,
+// owners, order) a per-length Build and the record-based reference
+// construction yield, and the same lookup success, on the two graphs
+// X7 sweeps.
+func TestBuildLengthsMatchesPerLengthBuild(t *testing.T) {
+	ws := make([]int, 64)
+	for i := range ws {
+		ws[i] = i + 1
+	}
+	for _, name := range []string{"facebook-A", "physics-1"} {
+		d, err := datasets.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := d.Generate(0.001, 1)
+		sub, _ := graph.BFSSubgraph(full, 0, 80)
+		g, _ := graph.LargestComponent(sub)
+		cfg := Config{Seed: 3}
+		multi, err := BuildLengths(g, cfg, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, w := range ws {
+			cfg.W = w
+			single, err := Build(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids, fingers, successors := refTables(g, cfg)
+			m := multi[k]
+			if m.cfg != single.cfg || !slices.Equal(m.keys, single.keys) {
+				t.Fatalf("%s w=%d: config %+v / keys differ from Build's %+v", name, w, m.cfg, single.cfg)
+			}
+			for v := range m.nodes {
+				mn, sn := &m.nodes[v], &single.nodes[v]
+				if mn.id != sn.id || mn.id != ids[v] {
+					t.Fatalf("%s w=%d node %d: id %x, Build %x, reference %x", name, w, v, mn.id, sn.id, ids[v])
+				}
+				if !slices.Equal(mn.fingers, sn.fingers) || !slices.Equal(mn.fingers, fingers[v]) {
+					t.Fatalf("%s w=%d node %d: fingers differ", name, w, v)
+				}
+				if !slices.Equal(mn.successors, sn.successors) || !slices.Equal(mn.successors, successors[v]) {
+					t.Fatalf("%s w=%d node %d: successors differ", name, w, v)
+				}
+			}
+			if a, b := m.SuccessRate(200, rng(uint64(w))), single.SuccessRate(200, rng(uint64(w))); a != b {
+				t.Fatalf("%s w=%d: success rate %v vs Build's %v", name, w, a, b)
+			}
+		}
+	}
+}
+
+func TestBuildLengthsValidation(t *testing.T) {
+	g := gen.Complete(10)
+	for _, ws := range [][]int{nil, {0}, {1, 0}, {4, 2}} {
+		if _, err := BuildLengths(g, Config{Seed: 1}, ws); err == nil {
+			t.Fatalf("walk lengths %v accepted", ws)
+		}
+	}
+	ds, err := BuildLengths(g, Config{Seed: 1}, []int{2, 2, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds) != 3 || ds[0].cfg.W != 2 || ds[1].cfg.W != 2 || ds[2].cfg.W != 5 {
+		t.Fatalf("built %d DHTs, want lengths 2, 2, 5", len(ds))
 	}
 }
