@@ -7,9 +7,9 @@
 //
 // Entries are keyed by experiment ID and guarded by a fingerprint of
 // every Config knob that selects the run (seed, scale, sources, walk
-// cap, spectral tolerance, block size, workers): a resume under a
-// different configuration misses and re-runs rather than replaying a
-// stale artifact. Saves are crash-safe — the entry is assembled in a
+// cap, spectral tolerance, block size): a resume under a different
+// configuration misses and re-runs rather than replaying a stale
+// artifact. Saves are crash-safe — the entry is assembled in a
 // temp directory and renamed into place, so a kill mid-save leaves a
 // miss, never a torn entry.
 //
@@ -39,18 +39,20 @@ import (
 
 // fingerprintVersion is bumped whenever the fingerprint input or the
 // entry layout changes, invalidating older checkpoint directories.
-const fingerprintVersion = 1
+const fingerprintVersion = 2
 
 // Fingerprint canonically hashes the configuration knobs an
 // experiment's output (and cost envelope) depends on, plus the
-// experiment ID. Fault-tolerance knobs (retries, backoff, timeout)
-// are deliberately excluded: they never change a successful result,
-// so turning them on must not invalidate prior checkpoints.
+// experiment ID. The block size stays in: it changes the replayed
+// telemetry's edges_scanned. Workers and the fault-tolerance knobs
+// (retries, backoff, timeout) are deliberately excluded: they change
+// neither a successful result nor its telemetry, so a resume with a
+// different -workers or with retries on replays prior checkpoints.
 func Fingerprint(id string, cfg runner.Config) string {
 	cfg = cfg.WithDefaults()
-	canon := fmt.Sprintf("v%d|%s|scale=%v|seed=%d|sources=%d|maxwalk=%d|tol=%v|block=%d|workers=%d",
+	canon := fmt.Sprintf("v%d|%s|scale=%v|seed=%d|sources=%d|maxwalk=%d|tol=%v|block=%d",
 		fingerprintVersion, id, cfg.Scale, cfg.Seed, cfg.Sources, cfg.MaxWalk,
-		cfg.SpectralTol, cfg.BlockSize, cfg.Workers)
+		cfg.SpectralTol, cfg.BlockSize)
 	sum := sha256.Sum256([]byte(canon))
 	return hex.EncodeToString(sum[:])
 }
@@ -84,9 +86,6 @@ func Open(dir string) (*Store, error) {
 	}
 	return &Store{dir: dir}, nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // cachedResult replays a persisted artifact byte-for-byte.
 type cachedResult struct {

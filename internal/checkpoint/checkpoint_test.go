@@ -90,13 +90,18 @@ func TestLookupMissesOnFingerprintMismatch(t *testing.T) {
 		"scale":   {Seed: cfg.Seed, Scale: cfg.Scale * 2, Sources: cfg.Sources},
 		"sources": {Seed: cfg.Seed, Scale: cfg.Scale, Sources: cfg.Sources + 1},
 		"block":   {Seed: cfg.Seed, Scale: cfg.Scale, BlockSize: cfg.BlockSize * 2},
-		"workers": {Seed: cfg.Seed, Scale: cfg.Scale, Workers: 3},
 	} {
 		if _, ok := s.Lookup("F1", other); ok {
 			t.Errorf("lookup hit despite changed %s", name)
 		}
 	}
-	// Retry/timeout knobs must NOT invalidate checkpoints.
+	// Kernel workers and retry/timeout knobs must NOT invalidate
+	// checkpoints: none of them changes a result or its telemetry.
+	workers := cfg
+	workers.Workers = 3
+	if _, ok := s.Lookup("F1", workers); !ok {
+		t.Error("a different worker count invalidated the checkpoint")
+	}
 	cfg.MaxAttempts, cfg.RetryBackoff, cfg.PerExperimentTimeout = 5, time.Second, time.Minute
 	if _, ok := s.Lookup("F1", cfg); !ok {
 		t.Error("fault-tolerance knobs invalidated the checkpoint")

@@ -32,9 +32,7 @@ func boundCurves(ctx context.Context, ds []datasets.Dataset, cfg Config, obs run
 			return nil, fmt.Errorf("experiments: bound curves cancelled before %s: %w", d.Name, err)
 		}
 		g := d.Generate(cfg.Scale, cfg.Seed)
-		est, err := spectral.SLEMContext(ctx, g, spectral.Options{
-			Tol: cfg.SpectralTol, Seed: cfg.Seed, Workers: cfg.Workers,
-			Collector: cfg.Collector})
+		est, err := spectral.SLEMContext(ctx, g, spectralOptions(cfg))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", d.Name, err)
 		}

@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"mixtime/internal/runner"
+	"mixtime/internal/spectral"
 )
 
 // Config scales and seeds an experiment run. It is an alias for
@@ -21,6 +22,13 @@ import (
 // the drivers and core share one set of defaults (see
 // api.DefaultScale and friends).
 type Config = runner.Config
+
+// spectralOptions is the SLEM configuration of the spectral drivers:
+// the run's tolerance, seed, matvec workers and collector.
+func spectralOptions(cfg Config) spectral.Options {
+	return spectral.Options{Tol: cfg.SpectralTol, Seed: cfg.Seed, Workers: cfg.Workers,
+		Collector: cfg.Collector}
+}
 
 // epsGrid is the variation-distance grid the bound figures sweep,
 // from 0.25 down to 1e-4 (the paper's axes).

@@ -129,9 +129,7 @@ func DistMixValidationContext(ctx context.Context, cfg Config, obs runner.Observ
 			return nil, fmt.Errorf("experiments: distmix cancelled before %s: %w", d.Name, err)
 		}
 		g := d.Generate(cfg.Scale, cfg.Seed)
-		est, err := spectral.SLEMContext(ctx, g, spectral.Options{
-			Tol: cfg.SpectralTol, Seed: cfg.Seed, Workers: cfg.Workers,
-			Collector: cfg.Collector})
+		est, err := spectral.SLEMContext(ctx, g, spectralOptions(cfg))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", d.Name, err)
 		}

@@ -214,9 +214,7 @@ func EvolveAttackContext(ctx context.Context, cfg Config, obs runner.Observer) (
 			return nil, fmt.Errorf("experiments: evolve-attack: %w", err)
 		}
 		honest, _ := graph.LargestComponent(ds.Generate(cfg.Scale, cfg.Seed))
-		base, err := spectral.SLEMContext(ctx, honest, spectral.Options{
-			Tol: cfg.SpectralTol, Seed: cfg.Seed, Workers: cfg.Workers,
-			Collector: cfg.Collector})
+		base, err := spectral.SLEMContext(ctx, honest, spectralOptions(cfg))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: evolve-attack %s baseline: %w", name, err)
 		}

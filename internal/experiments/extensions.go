@@ -153,9 +153,7 @@ func ConductanceContext(ctx context.Context, cfg Config, obs runner.Observer) ([
 			return nil, fmt.Errorf("experiments: conductance cancelled before %s: %w", d.Name, err)
 		}
 		g := d.Generate(cfg.Scale, cfg.Seed)
-		cut, est, err := spectral.SweepConductanceContext(ctx, g, spectral.Options{
-			Tol: cfg.SpectralTol, Seed: cfg.Seed, Workers: cfg.Workers,
-			Collector: cfg.Collector})
+		cut, est, err := spectral.SweepConductanceContext(ctx, g, spectralOptions(cfg))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", d.Name, err)
 		}

@@ -59,9 +59,7 @@ func Figure6Context(ctx context.Context, cfg Config, obs runner.Observer) ([]Fig
 			return nil, fmt.Errorf("experiments: trim level %d leaves %d nodes at scale %v",
 				level, lcc.NumNodes(), cfg.Scale)
 		}
-		est, err := spectral.SLEMContext(ctx, lcc, spectral.Options{
-			Tol: cfg.SpectralTol, Seed: cfg.Seed, Workers: cfg.Workers,
-			Collector: cfg.Collector})
+		est, err := spectral.SLEMContext(ctx, lcc, spectralOptions(cfg))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: dblp-%d: %w", level, err)
 		}

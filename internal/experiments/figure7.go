@@ -71,9 +71,7 @@ func Figure7Context(ctx context.Context, cfg Config, obs runner.Observer) ([]Fig
 			sub, _ := graph.BFSSubgraph(full, start, size)
 			sub, _ = graph.LargestComponent(sub)
 
-			est, err := spectral.SLEMContext(ctx, sub, spectral.Options{
-				Tol: cfg.SpectralTol, Seed: cfg.Seed, Workers: cfg.Workers,
-				Collector: cfg.Collector})
+			est, err := spectral.SLEMContext(ctx, sub, spectralOptions(cfg))
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s/%d: %w", name, paperSize, err)
 			}

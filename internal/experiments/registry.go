@@ -12,22 +12,20 @@ import (
 )
 
 // artifact adapts a driver's typed rows to runner.Result: rendering
-// and CSV delegate to the artifact-specific closures, JSON emits the
-// rows inside the versioned api.Document envelope (schema_version,
-// id, name, title, rows) so that a `paperfigs -json` file and a
-// mixtimed OpExperiment response are the same document. The id/name/
-// title fields are stamped by the registration wrapper, so the
-// per-experiment closures stay envelope-unaware.
-type artifact struct {
+// and CSV delegate to the artifact's renderer and CSV writer, JSON
+// emits the rows inside the versioned api.Document envelope
+// (schema_version, id, name, title, rows) so that a `paperfigs -json`
+// file and a mixtimed OpExperiment response are the same document.
+type artifact[R any] struct {
 	id, name, title string
-	rows            any
-	render          func() string
-	csv             func(io.Writer) error
+	rows            R
+	render          func(R) string
+	csv             func(io.Writer, R) error
 }
 
-func (a *artifact) Render() string        { return a.render() }
-func (a *artifact) CSV(w io.Writer) error { return a.csv(w) }
-func (a *artifact) JSON(w io.Writer) error {
+func (a *artifact[R]) Render() string        { return a.render(a.rows) }
+func (a *artifact[R]) CSV(w io.Writer) error { return a.csv(w, a.rows) }
+func (a *artifact[R]) JSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(api.Document{
@@ -39,17 +37,21 @@ func (a *artifact) JSON(w io.Writer) error {
 	})
 }
 
-// stampArtifact wraps a Def's Run so the artifact it returns knows
-// its registry identity — what the JSON envelope reports.
-func stampArtifact(d runner.Def) runner.RunFunc {
-	inner := d.Run
-	return func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-		res, err := inner(ctx, cfg, obs)
-		if a, ok := res.(*artifact); ok && a != nil {
-			a.id, a.name, a.title = d.ID, d.Name, d.Title
-		}
-		return res, err
-	}
+// define is the one way an artifact enters the registry: run computes
+// its rows, render and csv emit them, and the artifact carries the
+// Def's id/name/title into its JSON envelope.
+func define[R any](id, name, title string,
+	run func(context.Context, Config, runner.Observer) (R, error),
+	render func(R) string, csv func(io.Writer, R) error) runner.Def {
+	return runner.Def{ID: id, Name: name, Title: title,
+		Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
+			rows, err := run(ctx, cfg, obs)
+			if err != nil {
+				return nil, err
+			}
+			return &artifact[R]{id: id, name: name, title: title,
+				rows: rows, render: render, csv: csv}, nil
+		}}
 }
 
 // RenderCDFGroups draws one chart per dataset from a long-form CDF
@@ -70,257 +72,86 @@ func RenderCDFGroups(figure string, rows []DistanceCDF, order []string) string {
 	return b.String()
 }
 
+// renderEach renders one panel per item, each followed by a blank
+// line (the Figure 5 and Figure 7 layout).
+func renderEach[T any](render func(T) string) func([]T) string {
+	return func(items []T) string {
+		var b strings.Builder
+		for _, it := range items {
+			b.WriteString(render(it))
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+}
+
+// Figures 1 and 2 print their registry title as the chart header.
+const (
+	fig1Title = "Figure 1: lower bound of the mixing time — small datasets"
+	fig2Title = "Figure 2: lower bound of the mixing time — large datasets"
+)
+
 // init registers every artifact of the paper's evaluation into the
 // default runner registry under its DESIGN.md §5 ID. The legacy
 // cmd/paperfigs names are kept as aliases, so both `-only T1` and
 // `-only table1` resolve.
 func init() {
-	reg := []runner.Def{
-		{ID: "T1", Name: "table1",
-			Title: "Table 1: datasets, their properties and their second largest eigenvalues",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				rows, err := Table1Context(ctx, cfg, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: rows,
-					render: func() string { return RenderTable1(rows) },
-					csv:    func(w io.Writer) error { return Table1CSV(w, rows) }}, nil
-			}},
-		{ID: "F1", Name: "fig1",
-			Title: "Figure 1: lower bound of the mixing time — small datasets",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				curves, err := Figure1Context(ctx, cfg, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: curves,
-					render: func() string {
-						return RenderBoundCurves("Figure 1: lower bound of the mixing time — small datasets", curves)
-					},
-					csv: func(w io.Writer) error { return BoundCurvesCSV(w, curves) }}, nil
-			}},
-		{ID: "F2", Name: "fig2",
-			Title: "Figure 2: lower bound of the mixing time — large datasets",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				curves, err := Figure2Context(ctx, cfg, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: curves,
-					render: func() string {
-						return RenderBoundCurves("Figure 2: lower bound of the mixing time — large datasets", curves)
-					},
-					csv: func(w io.Writer) error { return BoundCurvesCSV(w, curves) }}, nil
-			}},
-		{ID: "F3", Name: "fig3",
-			Title: "Figure 3: CDF of variation distance, short walks, physics graphs",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				rows, err := Figure3Context(ctx, cfg, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: rows,
-					render: func() string {
-						return RenderCDFGroups("Figure 3", rows, []string{"physics-1", "physics-2", "physics-3"})
-					},
-					csv: func(w io.Writer) error { return DistanceCDFsCSV(w, rows) }}, nil
-			}},
-		{ID: "F4", Name: "fig4",
-			Title: "Figure 4: CDF of variation distance, long walks, physics graphs",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				rows, err := Figure4Context(ctx, cfg, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: rows,
-					render: func() string {
-						return RenderCDFGroups("Figure 4", rows, []string{"physics-2", "physics-3"})
-					},
-					csv: func(w io.Writer) error { return DistanceCDFsCSV(w, rows) }}, nil
-			}},
-		{ID: "F5", Name: "fig5",
-			Title: "Figure 5: lower bound vs sampled mixing, physics graphs",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				curves, err := Figure5Context(ctx, cfg, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: curves,
-					render: func() string {
-						var b strings.Builder
-						for _, c := range curves {
-							b.WriteString(RenderFig5(c))
-							b.WriteByte('\n')
-						}
-						return b.String()
-					},
-					csv: func(w io.Writer) error { return Fig5CSV(w, curves) }}, nil
-			}},
-		{ID: "F6", Name: "fig6",
-			Title: "Figure 6: effect of degree-trimming on DBLP",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				rows, err := Figure6Context(ctx, cfg, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: rows,
-					render: func() string { return RenderFig6(rows) },
-					csv:    func(w io.Writer) error { return Fig6CSV(w, rows) }}, nil
-			}},
-		{ID: "F7", Name: "fig7",
-			Title: "Figure 7: sampling vs lower bound on BFS samples of the large graphs",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				panels, err := Figure7Context(ctx, cfg, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: panels,
-					render: func() string {
-						var b strings.Builder
-						for _, p := range panels {
-							b.WriteString(RenderFig7Panel(p))
-							b.WriteByte('\n')
-						}
-						return b.String()
-					},
-					csv: func(w io.Writer) error { return Fig7CSV(w, panels) }}, nil
-			}},
-		{ID: "F8", Name: "fig8",
-			Title: "Figure 8: SybilLimit admission rate vs random walk length",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				curves, err := Figure8Context(ctx, Fig8Config{Config: cfg}, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: curves,
-					render: func() string { return RenderFig8(curves) },
-					csv:    func(w io.Writer) error { return Fig8CSV(w, curves) }}, nil
-			}},
-		{ID: "X1", Name: "attack",
-			Title: "SybilLimit under attack: honest admission vs tail escapes",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				rows, err := SybilAttackContext(ctx, SybilAttackConfig{Config: cfg}, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: rows,
-					render: func() string { return RenderSybilAttack(rows) },
-					csv:    func(w io.Writer) error { return SybilAttackCSV(w, rows) }}, nil
-			}},
-		{ID: "X2", Name: "conductance",
-			Title: "Conductance: Cheeger bounds and spectral sweep cuts",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				rows, err := ConductanceContext(ctx, cfg, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: rows,
-					render: func() string { return RenderConductance(rows) },
-					csv:    func(w io.Writer) error { return ConductanceCSV(w, rows) }}, nil
-			}},
-		{ID: "X3", Name: "whanau",
-			Title: "Whānau check: walk-tail edge distributions vs uniform",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				rows, err := WhanauContext(ctx, cfg, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: rows,
-					render: func() string { return RenderWhanau(rows) },
-					csv:    func(w io.Writer) error { return WhanauCSV(w, rows) }}, nil
-			}},
-		{ID: "X4", Name: "trust",
-			Title: "Trust-modulated walks: mixing cost of trust models",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				rows, err := TrustModelsContext(ctx, cfg, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: rows,
-					render: func() string { return RenderTrust(rows) },
-					csv:    func(w io.Writer) error { return TrustCSV(w, rows) }}, nil
-			}},
-		{ID: "X5", Name: "detection",
-			Title: "SybilInfer detection vs trace walk length",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				rows, err := DetectionContext(ctx, DetectionConfig{Config: cfg}, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: rows,
-					render: func() string { return RenderDetection(rows) },
-					csv:    func(w io.Writer) error { return DetectionCSV(w, rows) }}, nil
-			}},
-		{ID: "X6", Name: "defenses",
-			Title: "Defense comparison: ranking AUC under one attack",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				rows, err := DefenseComparisonContext(ctx, DefenseComparisonConfig{Config: cfg}, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: rows,
-					render: func() string { return RenderDefenseComparison(rows) },
-					csv:    func(w io.Writer) error { return DefenseComparisonCSV(w, rows) }}, nil
-			}},
-		{ID: "D1", Name: "distmix",
-			Title: "Distributed estimates vs exact mixing time on every dataset",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				rows, err := DistMixValidationContext(ctx, cfg, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: rows,
-					render: func() string { return RenderDistMix(rows) },
-					csv:    func(w io.Writer) error { return DistMixCSV(w, rows) }}, nil
-			}},
-		{ID: "D2", Name: "distmix-tradeoff",
-			Title: "Distributed estimation: accuracy vs communication sweep",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				rows, err := DistMixTradeoffContext(ctx, cfg, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: rows,
-					render: func() string { return RenderDistMixTradeoff(rows) },
-					csv:    func(w io.Writer) error { return DistMixTradeoffCSV(w, rows) }}, nil
-			}},
-		{ID: "X7", Name: "whanau-lookup",
-			Title: "Whānau lookup success vs table-building walk length",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				rows, err := WhanauLookupContext(ctx, cfg, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: rows,
-					render: func() string { return RenderWhanauLookup(rows) },
-					csv:    func(w io.Writer) error { return WhanauLookupCSV(w, rows) }}, nil
-			}},
-		{ID: "E1", Name: "evolve-growth",
-			Title: "Mixing-rate evolution under edge accretion: warm vs cold spectral starts",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				rows, err := EvolveGrowthContext(ctx, cfg, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: rows,
-					render: func() string { return RenderEvolveGrowth(rows) },
-					csv:    func(w io.Writer) error { return EvolveGrowthCSV(w, rows) }}, nil
-			}},
-		{ID: "E2", Name: "evolve-attack",
-			Title: "Mixing-time degradation as Sybil attack edges accrete",
-			Run: func(ctx context.Context, cfg Config, obs runner.Observer) (runner.Result, error) {
-				rows, err := EvolveAttackContext(ctx, cfg, obs)
-				if err != nil {
-					return nil, err
-				}
-				return &artifact{rows: rows,
-					render: func() string { return RenderEvolveAttack(rows) },
-					csv:    func(w io.Writer) error { return EvolveAttackCSV(w, rows) }}, nil
-			}},
-	}
-	for _, d := range reg {
-		d.Run = stampArtifact(d)
+	for _, d := range []runner.Def{
+		define("T1", "table1",
+			"Table 1: datasets, their properties and their second largest eigenvalues",
+			Table1Context, RenderTable1, Table1CSV),
+		define("F1", "fig1", fig1Title, Figure1Context,
+			func(c []BoundCurve) string { return RenderBoundCurves(fig1Title, c) }, BoundCurvesCSV),
+		define("F2", "fig2", fig2Title, Figure2Context,
+			func(c []BoundCurve) string { return RenderBoundCurves(fig2Title, c) }, BoundCurvesCSV),
+		define("F3", "fig3", "Figure 3: CDF of variation distance, short walks, physics graphs",
+			Figure3Context,
+			func(r []DistanceCDF) string { return RenderCDFGroups("Figure 3", r, physicsNames) },
+			DistanceCDFsCSV),
+		define("F4", "fig4", "Figure 4: CDF of variation distance, long walks, physics graphs",
+			Figure4Context,
+			func(r []DistanceCDF) string { return RenderCDFGroups("Figure 4", r, physicsNames[1:]) },
+			DistanceCDFsCSV),
+		define("F5", "fig5", "Figure 5: lower bound vs sampled mixing, physics graphs",
+			Figure5Context, renderEach(RenderFig5), Fig5CSV),
+		define("F6", "fig6", "Figure 6: effect of degree-trimming on DBLP",
+			Figure6Context, RenderFig6, Fig6CSV),
+		define("F7", "fig7", "Figure 7: sampling vs lower bound on BFS samples of the large graphs",
+			Figure7Context, renderEach(RenderFig7Panel), Fig7CSV),
+		define("F8", "fig8", "Figure 8: SybilLimit admission rate vs random walk length",
+			func(ctx context.Context, cfg Config, obs runner.Observer) ([]Fig8Curve, error) {
+				return Figure8Context(ctx, Fig8Config{Config: cfg}, obs)
+			}, RenderFig8, Fig8CSV),
+		define("X1", "attack", "SybilLimit under attack: honest admission vs tail escapes",
+			func(ctx context.Context, cfg Config, obs runner.Observer) ([]SybilAttackRow, error) {
+				return SybilAttackContext(ctx, SybilAttackConfig{Config: cfg}, obs)
+			}, RenderSybilAttack, SybilAttackCSV),
+		define("X2", "conductance", "Conductance: Cheeger bounds and spectral sweep cuts",
+			ConductanceContext, RenderConductance, ConductanceCSV),
+		define("X3", "whanau", "Whānau check: walk-tail edge distributions vs uniform",
+			WhanauContext, RenderWhanau, WhanauCSV),
+		define("X4", "trust", "Trust-modulated walks: mixing cost of trust models",
+			TrustModelsContext, RenderTrust, TrustCSV),
+		define("X5", "detection", "SybilInfer detection vs trace walk length",
+			func(ctx context.Context, cfg Config, obs runner.Observer) ([]DetectionRow, error) {
+				return DetectionContext(ctx, DetectionConfig{Config: cfg}, obs)
+			}, RenderDetection, DetectionCSV),
+		define("X6", "defenses", "Defense comparison: ranking AUC under one attack",
+			func(ctx context.Context, cfg Config, obs runner.Observer) ([]DefenseRow, error) {
+				return DefenseComparisonContext(ctx, DefenseComparisonConfig{Config: cfg}, obs)
+			}, RenderDefenseComparison, DefenseComparisonCSV),
+		define("D1", "distmix", "Distributed estimates vs exact mixing time on every dataset",
+			DistMixValidationContext, RenderDistMix, DistMixCSV),
+		define("D2", "distmix-tradeoff", "Distributed estimation: accuracy vs communication sweep",
+			DistMixTradeoffContext, RenderDistMixTradeoff, DistMixTradeoffCSV),
+		define("X7", "whanau-lookup", "Whānau lookup success vs table-building walk length",
+			WhanauLookupContext, RenderWhanauLookup, WhanauLookupCSV),
+		define("E1", "evolve-growth",
+			"Mixing-rate evolution under edge accretion: warm vs cold spectral starts",
+			EvolveGrowthContext, RenderEvolveGrowth, EvolveGrowthCSV),
+		define("E2", "evolve-attack", "Mixing-time degradation as Sybil attack edges accrete",
+			EvolveAttackContext, RenderEvolveAttack, EvolveAttackCSV),
+	} {
 		runner.MustRegister(d)
 	}
 }

@@ -40,9 +40,7 @@ func Table1Context(ctx context.Context, cfg Config, obs runner.Observer) ([]Tabl
 			return nil, fmt.Errorf("experiments: table1 cancelled before %s: %w", d.Name, err)
 		}
 		g := d.Generate(cfg.Scale, cfg.Seed)
-		est, err := spectral.SLEMContext(ctx, g, spectral.Options{
-			Tol: cfg.SpectralTol, Seed: cfg.Seed, Workers: cfg.Workers,
-			Collector: cfg.Collector})
+		est, err := spectral.SLEMContext(ctx, g, spectralOptions(cfg))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", d.Name, err)
 		}

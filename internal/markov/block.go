@@ -133,14 +133,6 @@ func (c *Chain) stepBlockRows(dst, p, w []float64, width, lo, hi int) {
 		}
 		return
 	}
-	switch width {
-	case 8: // the DefaultBlockSize fast path, constant stride
-		c.stepBlockRows8(dst, p, w, lo, hi, off, adj)
-		return
-	case 4:
-		c.stepBlockRows4(dst, p, w, lo, hi, off, adj)
-		return
-	}
 	for base := 0; base < width; {
 		lanes := groupLanes(width - base)
 		switch lanes {
@@ -181,69 +173,11 @@ func (c *Chain) stepBlockRowsWide(dst, p, w []float64, width, lo, hi int) {
 	}
 }
 
-// stepBlockRows8 is the width-8 register kernel (one cache line of
-// float64): the eight column accumulators live in registers instead
-// of a memory-resident out row, and the slice-to-array conversions
-// pay one bounds check per neighbor instead of eight.
-func (c *Chain) stepBlockRows8(dst, p, w []float64, lo, hi int, off []uint32, adj []graph.NodeID) {
-	for v := lo; v < hi; v++ {
-		var s0, s1, s2, s3, s4, s5, s6, s7 float64
-		for i, end := int(off[v]), int(off[v+1]); i < end; i++ {
-			col := (*[8]float64)(w[int(adj[i])*8:])
-			s0 += col[0]
-			s1 += col[1]
-			s2 += col[2]
-			s3 += col[3]
-			s4 += col[4]
-			s5 += col[5]
-			s6 += col[6]
-			s7 += col[7]
-		}
-		out := (*[8]float64)(dst[v*8:])
-		if c.lazy {
-			row := (*[8]float64)(p[v*8:])
-			out[0] = 0.5*row[0] + 0.5*s0
-			out[1] = 0.5*row[1] + 0.5*s1
-			out[2] = 0.5*row[2] + 0.5*s2
-			out[3] = 0.5*row[3] + 0.5*s3
-			out[4] = 0.5*row[4] + 0.5*s4
-			out[5] = 0.5*row[5] + 0.5*s5
-			out[6] = 0.5*row[6] + 0.5*s6
-			out[7] = 0.5*row[7] + 0.5*s7
-		} else {
-			out[0], out[1], out[2], out[3] = s0, s1, s2, s3
-			out[4], out[5], out[6], out[7] = s4, s5, s6, s7
-		}
-	}
-}
-
-// stepBlockRows4 is the width-4 register kernel (half a cache line):
-// four register accumulators, constant stride.
-func (c *Chain) stepBlockRows4(dst, p, w []float64, lo, hi int, off []uint32, adj []graph.NodeID) {
-	for v := lo; v < hi; v++ {
-		var s0, s1, s2, s3 float64
-		for i, end := int(off[v]), int(off[v+1]); i < end; i++ {
-			col := (*[4]float64)(w[int(adj[i])*4:])
-			s0 += col[0]
-			s1 += col[1]
-			s2 += col[2]
-			s3 += col[3]
-		}
-		out := (*[4]float64)(dst[v*4:])
-		if c.lazy {
-			row := (*[4]float64)(p[v*4:])
-			out[0] = 0.5*row[0] + 0.5*s0
-			out[1] = 0.5*row[1] + 0.5*s1
-			out[2] = 0.5*row[2] + 0.5*s2
-			out[3] = 0.5*row[3] + 0.5*s3
-		} else {
-			out[0], out[1], out[2], out[3] = s0, s1, s2, s3
-		}
-	}
-}
-
 // stepBlockRows8s advances columns [base, base+8) of a width-stride
-// block — the strided twin of stepBlockRows8 composite widths chain.
+// block (one cache line of float64 when width is 8): the eight column
+// accumulators live in registers instead of a memory-resident out
+// row, and the slice-to-array conversions pay one bounds check per
+// neighbor instead of eight.
 func (c *Chain) stepBlockRows8s(dst, p, w []float64, stride, base, lo, hi int, off []uint32, adj []graph.NodeID) {
 	for v := lo; v < hi; v++ {
 		var s0, s1, s2, s3, s4, s5, s6, s7 float64

@@ -44,7 +44,7 @@ func xgetbv() (eax, edx uint32)
 // for rows [lo, hi): lane j of the YMM accumulators is column j, so
 // each column sums its CSR neighbors in exactly the sequential
 // kernel's order and the output is byte-identical to the pure-Go
-// stepBlockRows8/8s kernels. dst, p and w must already be offset to
+// stepBlockRows8s kernel. dst, p and w must already be offset to
 // the group's base column; strideBytes is the full block row stride
 // in bytes (width*8).
 //

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -449,12 +448,4 @@ func (r *Runner) Run(ctx context.Context, cfg Config, keys ...string) (*Report, 
 		return report, errors.Join(errs...)
 	}
 	return report, nil
-}
-
-// SortedIDs returns the registry IDs sorted lexicographically —
-// convenient for stable listings in CLI help output.
-func SortedIDs(reg *Registry) []string {
-	ids := reg.IDs()
-	sort.Strings(ids)
-	return ids
 }

@@ -143,6 +143,7 @@ func BuildLengths(g *graph.Graph, cfg Config, ws []int) ([]*DHT, error) {
 	byKey := func(a, b graph.NodeID) int { return cmp.Compare(keys[a], keys[b]) }
 	ends := make([]graph.NodeID, len(ws))
 	cand := make([]graph.NodeID, len(ws)*nc) // length k's candidates at [k*nc, (k+1)*nc)
+	near := make([]ringCand, nc)
 	for v := 0; v < n; v++ {
 		start := graph.NodeID(v)
 		// Layer-0 ID: the key of a random walk sample (the protocol's
@@ -170,14 +171,59 @@ func BuildLengths(g *graph.Graph, cfg Config, ws []int) ([]*DHT, error) {
 		for k, d := range ds {
 			nd := &d.nodes[v]
 			slices.SortFunc(nd.fingers, byKey)
-			c := cand[k*nc : (k+1)*nc]
-			slices.SortFunc(c, func(a, b graph.NodeID) int {
-				return cmp.Compare(ringDist(nd.id, keys[a]), ringDist(nd.id, keys[b]))
-			})
-			copy(nd.successors, c)
+			for i, e := range cand[k*nc : (k+1)*nc] {
+				near[i] = ringCand{ringDist(nd.id, keys[e]), e}
+			}
+			selectNearest(near, ns)
+			for i := range nd.successors {
+				nd.successors[i] = near[i].owner
+			}
 		}
 	}
 	return ds, nil
+}
+
+// ringCand is a successor candidate with its ring distance after the
+// building node's id.
+type ringCand struct {
+	dist  uint64
+	owner graph.NodeID
+}
+
+// selectNearest moves the k nearest candidates to c[:k] in ascending
+// distance: a quickselect drops the far ones, and only the kept
+// prefix is sorted. Distinct keys lie at distinct distances and equal
+// distances mean the same owner, so c[:k] equals the first k entries
+// of a full sort.
+func selectNearest(c []ringCand, k int) {
+	lo, hi := 0, len(c)-1
+	for lo < hi && k < len(c) {
+		pivot := c[lo+(hi-lo)/2].dist
+		i, j := lo, hi
+		for i <= j {
+			for c[i].dist < pivot {
+				i++
+			}
+			for c[j].dist > pivot {
+				j--
+			}
+			if i <= j {
+				c[i], c[j] = c[j], c[i]
+				i++
+				j--
+			}
+		}
+		// c[lo:j+1] ≤ pivot ≤ c[i:hi+1]; anything between equals it.
+		switch {
+		case k-1 <= j:
+			hi = j
+		case k-1 >= i:
+			lo = i
+		default: // c[k-1] equals the pivot: c[:k] holds the k nearest
+			lo = hi
+		}
+	}
+	slices.SortFunc(c[:k], func(a, b ringCand) int { return cmp.Compare(a.dist, b.dist) })
 }
 
 // KeyOf returns the record key stored by v.

@@ -228,3 +228,33 @@ func TestBuildLengthsValidation(t *testing.T) {
 		t.Fatalf("built %d DHTs, want lengths 2, 2, 5", len(ds))
 	}
 }
+
+// TestSelectNearestMatchesFullSort: the quickselect keeps exactly the
+// first k entries of a full sort by distance, for every k, with
+// repeated owners (one walk sample drawn several times) among the
+// candidates.
+func TestSelectNearestMatchesFullSort(t *testing.T) {
+	r := rng(7)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.IntN(40)
+		owners := 1 + r.IntN(n)
+		dist := make([]uint64, owners)
+		for i := range dist {
+			dist[i] = r.Uint64N(1000)*1000 + uint64(i) // distinct per owner
+		}
+		all := make([]ringCand, n)
+		for i := range all {
+			o := r.IntN(owners)
+			all[i] = ringCand{dist[o], graph.NodeID(o)}
+		}
+		want := slices.Clone(all)
+		slices.SortFunc(want, func(a, b ringCand) int { return cmp.Compare(a.dist, b.dist) })
+		for k := 1; k <= n; k++ {
+			c := slices.Clone(all)
+			selectNearest(c, k)
+			if !slices.Equal(c[:k], want[:k]) {
+				t.Fatalf("n=%d k=%d: got %v, want %v", n, k, c[:k], want[:k])
+			}
+		}
+	}
+}
