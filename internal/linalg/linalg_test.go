@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -64,6 +65,47 @@ func TestOrthogonalize(t *testing.T) {
 	}
 	if x[1] != 2 || x[2] != 1 {
 		t.Fatal("orthogonalization disturbed orthogonal components")
+	}
+}
+
+// TestAxpyDotMatchesAxpyThenDot: the fused sweep must leave y and
+// return the dot bit for bit as Axpy followed by Dot does, with z
+// distinct from y and with z aliasing y. Entries span several orders
+// of magnitude so that any reordering of the sum would round
+// differently.
+func TestAxpyDotMatchesAxpyThenDot(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 7))
+	vec := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64() * math.Pow(10, float64(rng.IntN(9)-4))
+		}
+		return v
+	}
+	for _, n := range []int{0, 1, 7, 1000} {
+		for _, alias := range []bool{false, true} {
+			a := rng.NormFloat64()
+			x, y, z := vec(n), vec(n), vec(n)
+			want := append([]float64(nil), y...)
+			Axpy(a, x, want)
+			wantZ := z
+			if alias {
+				wantZ = want
+			}
+			wantDot := Dot(wantZ, want)
+			if alias {
+				z = y
+			}
+			got := AxpyDot(a, x, y, z)
+			if math.Float64bits(got) != math.Float64bits(wantDot) {
+				t.Errorf("n=%d alias=%v: dot %v, Axpy then Dot %v", n, alias, got, wantDot)
+			}
+			for i := range y {
+				if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d alias=%v: y[%d] = %v, Axpy gives %v", n, alias, i, y[i], want[i])
+				}
+			}
+		}
 	}
 }
 
@@ -197,6 +239,73 @@ func TestTridiagCountBelow(t *testing.T) {
 		if got := tr.CountBelow(c.x); got != c.want {
 			t.Fatalf("CountBelow(%v) = %d, want %d", c.x, got, c.want)
 		}
+	}
+}
+
+// TestExtremesMatchesEigenvalue: the lockstep bisection must return
+// exactly Eigenvalue(0, tol) and Eigenvalue(k−1, tol). The matrices
+// include zero off-diagonals, whose Sturm recurrences hit d == 0 at
+// dyadic midpoints and take the perturbation path, repeated
+// eigenvalues, and tol <= 0 (the relative default).
+func TestExtremesMatchesEigenvalue(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 2))
+	random := func(k int, zeroEvery int) *Tridiag {
+		tr := &Tridiag{Diag: make([]float64, k), Off: make([]float64, k-1)}
+		for i := range tr.Diag {
+			tr.Diag[i] = rng.NormFloat64()
+		}
+		for i := range tr.Off {
+			if zeroEvery == 0 || i%zeroEvery != 0 {
+				tr.Off[i] = rng.NormFloat64()
+			}
+		}
+		return tr
+	}
+	cases := []struct {
+		name string
+		tr   *Tridiag
+	}{
+		{"zero 3x3", &Tridiag{Diag: []float64{0, 0, 0}, Off: []float64{0, 0}}},
+		{"repeated diagonal", &Tridiag{Diag: []float64{2, 2, -1, 2}, Off: []float64{0, 0, 0}}},
+		{"repeated, coupled", &Tridiag{Diag: []float64{1, 1, 1, 1}, Off: []float64{1, 0, 1}}},
+		{"integer diagonal", &Tridiag{Diag: []float64{0, 1, -1, 0.5}, Off: []float64{0, 0.5, 0}}},
+	}
+	for _, k := range []int{1, 2, 3, 60} {
+		for rep := 0; rep < 5; rep++ {
+			cases = append(cases, struct {
+				name string
+				tr   *Tridiag
+			}{fmt.Sprintf("random k=%d #%d", k, rep), random(k, rep%3)})
+		}
+	}
+	check := func(name string, tr *Tridiag, tol float64) {
+		lo, hi := tr.Extremes(tol)
+		wantLo, wantHi := tr.Eigenvalue(0, tol), tr.Eigenvalue(tr.Dim()-1, tol)
+		if math.Float64bits(lo) != math.Float64bits(wantLo) || math.Float64bits(hi) != math.Float64bits(wantHi) {
+			t.Errorf("%s tol=%v: Extremes (%v, %v), Eigenvalue (%v, %v)", name, tol, lo, hi, wantLo, wantHi)
+		}
+	}
+	for _, c := range cases {
+		for _, tol := range []float64{1e-9, 1e-13, 0, -1} {
+			check(c.name, c.tr, tol)
+		}
+	}
+	// At tol = R/(2^j−2), R the Gershgorin range, both brackets narrow
+	// to exactly tol after j halvings in exact arithmetic; rounding
+	// then decides, side by side, whether one more step runs. On these
+	// matrices the two sides close on different steps, so a lockstep
+	// loop that stops with the first side to close, or keeps
+	// bisecting a closed one, fails here.
+	for _, c := range []struct {
+		tr *Tridiag
+		j  int
+	}{
+		{&Tridiag{Diag: []float64{2.125, 0.125, 0.875}, Off: []float64{-0.25, 0.5}}, 20},
+		{&Tridiag{Diag: []float64{-0.5, -2.125}, Off: []float64{-1.375}}, 29},
+		{&Tridiag{Diag: []float64{-0.75, -1, 0.75, 0.5}, Off: []float64{0.375, -0.25, 1.625}}, 28},
+	} {
+		lo, hi := c.tr.gershgorinBounds()
+		check(fmt.Sprintf("k=%d j=%d", c.tr.Dim(), c.j), c.tr, (hi-lo)/(math.Ldexp(1, c.j)-2))
 	}
 }
 

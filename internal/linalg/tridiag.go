@@ -91,10 +91,71 @@ func (t *Tridiag) Eigenvalues(tol float64) []float64 {
 	return vals
 }
 
-// Extremes returns the smallest and largest eigenvalues.
+// Extremes returns the smallest and largest eigenvalues, bit for bit
+// as Eigenvalue(0, tol) and Eigenvalue(k−1, tol) return them: each
+// side keeps Eigenvalue's bracket, midpoints, tolerance and stopping
+// rule. The two bisections run in lockstep, so one pass over the
+// diagonal evaluates both Sturm counts as independent recurrences.
 func (t *Tridiag) Extremes(tol float64) (min, max float64) {
-	k := t.Dim()
-	return t.Eigenvalue(0, tol), t.Eigenvalue(k-1, tol)
+	top := t.Dim() - 1
+	lo, hi := t.gershgorinBounds()
+	if tol <= 0 {
+		tol = 1e-12 * math.Max(1, hi-lo)
+	}
+	// Invariants: count(minLo) <= 0 < count(minHi) and
+	// count(maxLo) <= top < count(maxHi).
+	minLo, minHi := lo-tol, hi+tol
+	maxLo, maxHi := minLo, minHi
+	for minHi-minLo > tol || maxHi-maxLo > tol {
+		minMid, maxMid := minLo+(minHi-minLo)/2, maxLo+(maxHi-maxLo)/2
+		cMin, cMax := t.countBelow2(minMid, maxMid)
+		// A side that has met the tolerance keeps its bracket; its
+		// count is computed but unused.
+		if minHi-minLo > tol {
+			if cMin <= 0 {
+				minLo = minMid
+			} else {
+				minHi = minMid
+			}
+		}
+		if maxHi-maxLo > tol {
+			if cMax <= top {
+				maxLo = maxMid
+			} else {
+				maxHi = maxMid
+			}
+		}
+	}
+	return minLo + (minHi-minLo)/2, maxLo + (maxHi-maxLo)/2
+}
+
+// countBelow2 is CountBelow at two points in one pass: the two Sturm
+// recurrences are independent, so they overlap in the pipeline, and
+// each performs exactly CountBelow's operations.
+func (t *Tridiag) countBelow2(x, y float64) (cx, cy int) {
+	dx, dy := 1.0, 1.0
+	for i, a := range t.Diag {
+		if i == 0 {
+			dx, dy = a-x, a-y
+		} else {
+			if dx == 0 {
+				dx = 1e-300
+			}
+			if dy == 0 {
+				dy = 1e-300
+			}
+			b2 := t.Off[i-1] * t.Off[i-1]
+			dx = (a - x) - b2/dx
+			dy = (a - y) - b2/dy
+		}
+		if dx < 0 {
+			cx++
+		}
+		if dy < 0 {
+			cy++
+		}
+	}
+	return cx, cy
 }
 
 // EigenvectorFor returns a unit eigenvector for the eigenvalue of the

@@ -66,6 +66,23 @@ func Axpy(a float64, x, y []float64) {
 	}
 }
 
+// AxpyDot computes y += a*x in place and returns Σ z[i]·y[i] over the
+// updated y, in one pass; z may be y, which returns ‖y‖². Every
+// element sees Axpy's update and the sum accumulates in Dot's order,
+// so the result is bit-identical to Axpy(a, x, y) followed by
+// Dot(z, y). A chain of these sweeps, each carrying the dot the next
+// one needs, is how Lanczos reorthogonalizes at one pass per vector.
+func AxpyDot(a float64, x, y, z []float64) float64 {
+	y, z = y[:len(x)], z[:len(x)]
+	var s float64
+	for i, v := range x {
+		t := y[i] + a*v
+		y[i] = t
+		s += z[i] * t
+	}
+	return s
+}
+
 // Sub computes dst = x - y.
 func Sub(dst, x, y []float64) {
 	for i := range dst {

@@ -48,17 +48,7 @@ func lanczos(ctx context.Context, op *Operator, opt Options, stream uint64, conv
 	if n < 2 {
 		return nil, errors.New("spectral: graph too small for SLEM")
 	}
-	maxK := opt.MaxIter
-	if maxK > n-1 {
-		maxK = n - 1 // Krylov space of v₁⊥ has dimension n-1
-	}
-	// The stored basis costs 8·k·n bytes; cap it at ~2 GiB so
-	// million-node graphs don't exhaust memory (Solve falls back to
-	// the O(n)-memory power iteration when the capped run fails to
-	// converge).
-	if budget := int(2 << 30 / (8 * int64(n))); maxK > budget && budget >= 32 {
-		maxK = budget
-	}
+	maxK := lanczosSteps(opt.MaxIter, n)
 
 	rng := rand.New(rand.NewPCG(opt.Seed, stream))
 	basis := make([][]float64, 0, 16)
@@ -89,7 +79,7 @@ func lanczos(ctx context.Context, op *Operator, opt Options, stream uint64, conv
 			return nil, errors.New("spectral: degenerate start vector")
 		}
 	}
-	basis = append(basis, append([]float64(nil), q...))
+	basis = append(basis, q)
 
 	w := make([]float64, n)
 	scratch := make([]float64, n)
@@ -110,14 +100,7 @@ func lanczos(ctx context.Context, op *Operator, opt Options, stream uint64, conv
 		alpha = append(alpha, a)
 
 		// w ← w − a·q_k − β_{k-1}·q_{k-1}, then full reorthogonalization.
-		linalg.Axpy(-a, basis[k], w)
-		if k > 0 {
-			linalg.Axpy(-beta[k-1], basis[k-1], w)
-		}
-		op.Deflate(w)
-		for _, b := range basis {
-			linalg.OrthogonalizeAgainst(w, b)
-		}
+		d := op.residual(w, basis, a, beta)
 
 		if converge {
 			// Convergence check on the current tridiagonal extremes.
@@ -135,15 +118,18 @@ func lanczos(ctx context.Context, op *Operator, opt Options, stream uint64, conv
 			prevLo, prevHi = lo, hi
 		}
 
-		b := linalg.Norm2(w)
+		b := math.Sqrt(d) // ‖w‖
 		if b < 1e-14 {
 			// Krylov space exhausted: the tridiagonal spectrum is exact.
 			converged = true
 			break
 		}
 		beta = append(beta, b)
+		// w becomes the next basis vector; the next matvec writes a
+		// fresh one.
 		linalg.Scale(w, 1/b)
-		basis = append(basis, append([]float64(nil), w...))
+		basis = append(basis, w)
+		w = make([]float64, n)
 	}
 	return &lanczosRun{
 		tri:       &linalg.Tridiag{Diag: alpha, Off: beta[:len(alpha)-1]},
@@ -152,6 +138,49 @@ func lanczos(ctx context.Context, op *Operator, opt Options, stream uint64, conv
 		converged: converged,
 		warm:      warm,
 	}, nil
+}
+
+// residual turns w = S·q_k, with q_k the last of basis, into the next
+// Lanczos residual and returns ‖w‖²: w ← w − a·q_k − β_{k−1}·q_{k−1}
+// (no β term at k = 0), deflated against v₁, then reorthogonalized by
+// modified Gram–Schmidt over the basis in order. Each AxpyDot sweep
+// carries the dot the next one subtracts: the recurrence carries v₁·w,
+// the deflation q₀·w, each q_j's sweep q_{j+1}·w and the last one
+// ‖w‖², for k+4 passes over w. Every element sees the operations of
+// separate Axpy and Dot calls in their order, so no sum is
+// reassociated and no bit moves. Keep the chain out of lanczos:
+// inlined there, the sweep loop ran short of registers and spilled its
+// index to the stack on every element, which cost nearly half of the
+// fusion's gain.
+func (op *Operator) residual(w []float64, basis [][]float64, a float64, beta []float64) float64 {
+	k := len(basis) - 1
+	var d float64
+	if k > 0 {
+		linalg.Axpy(-a, basis[k], w)
+		d = linalg.AxpyDot(-beta[k-1], basis[k-1], w, op.v1)
+	} else {
+		d = linalg.AxpyDot(-a, basis[k], w, op.v1)
+	}
+	d = linalg.AxpyDot(-d, op.v1, w, basis[0])
+	for j, q := range basis {
+		next := w
+		if j+1 < len(basis) {
+			next = basis[j+1]
+		}
+		d = linalg.AxpyDot(-d, q, w, next)
+	}
+	return d
+}
+
+// lanczosSteps caps a Lanczos run on n nodes at maxIter steps, at the
+// n−1 dimensions of v₁⊥, and at the steps whose stored basis
+// (8·n bytes per vector) fits in ~2 GiB — 268 at a million nodes —
+// so that a huge graph falls back to the O(n)-memory power iteration
+// (Solve) instead of exhausting memory. At least one step always
+// runs, so the tridiagonal is never empty.
+func lanczosSteps(maxIter, n int) int {
+	budget := int(2 << 30 / (8 * int64(n)))
+	return max(1, min(maxIter, n-1, budget))
 }
 
 // slemLanczos estimates µ from the extreme eigenvalues of the Lanczos

@@ -128,33 +128,50 @@ func powerExtreme(ctx context.Context, op *Operator, shift, scale float64, start
 	// One add per solve, whatever exit path the iteration takes.
 	defer func() { opt.Collector.Add(telemetry.PowerIterations, int64(iters)) }()
 
+	// After each matvec, three sweeps shift, deflate, take the
+	// Rayleigh quotient and the residual, and normalize. Each element
+	// sees the operations of separate passes in their order, and
+	// every sum keeps its own accumulator, so no bit moves.
+	v1 := op.v1
 	var rho float64
 	for iters = 1; iters <= opt.MaxIter; iters++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return 0, nil, iters, false, fmt.Errorf("spectral: power iteration cancelled at matvec %d: %w", iters, cerr)
 		}
 		op.ApplyParallel(sx, x, scratch, opt.Workers)
-		// y = (S + shift I)/scale · x
+		// y = (S + shift I)/scale · x, and v₁·y.
+		var dv float64
 		for i := range sx {
-			sx[i] = (sx[i] + shift*x[i]) / scale
+			y := (sx[i] + shift*x[i]) / scale
+			sx[i] = y
+			dv += v1[i] * y
 		}
-		op.Deflate(sx)
-		rho = linalg.Dot(x, sx) // Rayleigh quotient of shifted op
-		// residual ‖Mx − ρx‖
-		var res float64
+		// Deflate y against v₁, with the Rayleigh quotient ρ = x·y of
+		// the shifted operator and ‖y‖² as two independent chains.
+		var nn float64
+		rho = 0
 		for i := range sx {
-			d := sx[i] - rho*x[i]
-			res += d * d
+			y := sx[i] + -dv*v1[i]
+			sx[i] = y
+			rho += x[i] * y
+			nn += y * y
 		}
-		res = math.Sqrt(res)
-		norm := linalg.Normalize(sx)
+		norm := math.Sqrt(nn)
 		if norm == 0 {
 			// x was (numerically) entirely in the null space; the
 			// restricted operator is zero in this direction.
 			return rho, x, iters, true, nil
 		}
+		// The residual ‖y − ρx‖, then y normalized.
+		var res float64
+		inv := 1 / norm
+		for i, y := range sx {
+			d := y - rho*x[i]
+			res += d * d
+			sx[i] = y * inv
+		}
 		x, sx = sx, x
-		if res <= opt.Tol/2 {
+		if math.Sqrt(res) <= opt.Tol/2 {
 			return rho, x, iters, true, nil
 		}
 	}

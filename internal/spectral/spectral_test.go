@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mixtime/internal/datasets"
 	"mixtime/internal/gen"
 	"mixtime/internal/graph"
 )
@@ -352,6 +353,103 @@ func TestProfilePinnedBits(t *testing.T) {
 					c.name, i, v, bits, math.Float64frombits(c.want[i]), c.want[i])
 			}
 		}
+	}
+}
+
+// TestSolvePinnedBits pins Solve on the converging Lanczos path bit
+// for bit: µ, λ₂, λ_n, the step count, the convergence flag and an
+// FNV hash of Vector2. The dense and power oracles agree only within
+// a tolerance, so a change to the Lanczos step that reassociates a
+// dot product, reorders the recurrence or moves the stop rule would
+// pass them unnoticed. The rows cover a slow trust substitute
+// (83 steps), a fast online one, a near-bipartite one where |λ_n|
+// sets µ, a barbell whose Krylov space is exhausted, and a weighted
+// operator; physics-1 also runs sharded, which must not move a bit.
+func TestSolvePinnedBits(t *testing.T) {
+	substitute := func(name string, scale float64) *graph.Graph {
+		d, err := datasets.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Generate(scale, 1)
+	}
+	operator := func(op *Operator, err error) *Operator {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return op
+	}
+	physics := operator(NewOperator(substitute("physics-1", 0.1)))
+	random := connectedRandom(400, 700, 31)
+	cases := []struct {
+		name              string
+		op                *Operator
+		opt               Options
+		mu, lambda2, lamN uint64 // math.Float64bits
+		iters             int
+		converged         bool
+		vector            uint64 // vectorBits of Vector2
+	}{
+		{"physics-1@0.1", physics, Options{Seed: 12},
+			0x3fefd923d63770fc, 0x3fefd923d63770fc, 0xbfdbd46e75b24690, 83, true, 0xb55181591ac9d0c2},
+		{"physics-1@0.1 sharded", physics, Options{Seed: 12, Workers: 3},
+			0x3fefd923d63770fc, 0x3fefd923d63770fc, 0xbfdbd46e75b24690, 83, true, 0xb55181591ac9d0c2},
+		{"wiki-vote@0.1", operator(NewOperator(substitute("wiki-vote", 0.1))), Options{},
+			0x3fed3ce7a9333f76, 0x3fed3ce7a9333f76, 0xbfd69174dee2bf36, 43, true, 0xc5e57b54fdbf0a5d},
+		{"youtube@0.001 (|λ_n| sets µ)", operator(NewOperator(substitute("youtube", 0.001))), Options{},
+			0x3fef6fc345b02004, 0x3fef6bb65d8f90e2, 0xbfef6fc345b02004, 119, true, 0x344212123f07267b},
+		{"barbell(10)", operator(NewOperator(barbell(10))), Options{},
+			0x3fef6756cdc32362, 0x3fef6756cdc32362, 0xbfc8a30b937d95a1, 4, true, 0x72fe3559246243c6},
+		{"weighted random", operator(NewWeightedOperator(random, variedWeights(random))), Options{Seed: 5},
+			0x3fe97282ceb3ae10, 0x3fe95b08c9a09d43, 0xbfe97282ceb3ae10, 73, true, 0x44d988a79fe1829c},
+	}
+	for _, c := range cases {
+		est, err := Solve(context.Background(), c.op, c.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := []uint64{math.Float64bits(est.Mu), math.Float64bits(est.Lambda2), math.Float64bits(est.LambdaN)}
+		want := []uint64{c.mu, c.lambda2, c.lamN}
+		for i, what := range []string{"µ", "λ₂", "λ_n"} {
+			if got[i] != want[i] {
+				t.Errorf("%s: %s bits %#016x, pinned %#016x", c.name, what, got[i], want[i])
+			}
+		}
+		if est.Iterations != c.iters || est.Converged != c.converged {
+			t.Errorf("%s: %d steps, converged %v; pinned %d, %v", c.name, est.Iterations, est.Converged, c.iters, c.converged)
+		}
+		if got := vectorBits(est.Vector2); got != c.vector {
+			t.Errorf("%s: Vector2 bits %#x, pinned %#x", c.name, got, c.vector)
+		}
+	}
+}
+
+// TestLanczosStepsCap: the basis budget (~2 GiB of n-vectors) caps
+// the step count at every size. Above 8,388,608 nodes it falls below
+// 32 steps, and above ~268M nodes to zero, where the cap still leaves
+// the one step that keeps the tridiagonal non-empty; a one-step run
+// must return an estimate rather than panic.
+func TestLanczosStepsCap(t *testing.T) {
+	cases := []struct{ maxIter, n, want int }{
+		{500, 100, 99},
+		{20, 100, 20},
+		{500, 1_000_000, 268},
+		{500, 8_388_608, 32},
+		{500, 8_388_609, 31},
+		{500, 10_000_000, 26},
+		{500, 300_000_000, 1},
+	}
+	for _, c := range cases {
+		if got := lanczosSteps(c.maxIter, c.n); got != c.want {
+			t.Errorf("lanczosSteps(%d, %d) = %d, want %d", c.maxIter, c.n, got, c.want)
+		}
+	}
+	est, err := lanczosEstimate(ring(9), Options{MaxIter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Iterations != 1 || est.Converged {
+		t.Errorf("one-step run: %d steps, converged %v", est.Iterations, est.Converged)
 	}
 }
 

@@ -209,7 +209,9 @@ func vectorBits(v []float64) uint64 {
 // several seeds and from a warm start, and must leave the λ_n fields
 // unset rather than zero. The pins were recorded from
 // SLEMPowerContext before the λ₂ phase became its own function, so a
-// change inside that function cannot pass by moving both sides.
+// change inside that function cannot pass by moving both sides. The
+// full solve's λ_n bits and ItersN are pinned too: the λ_n phase runs
+// the same powerExtreme sweeps on (I−S)/2.
 func TestLambda2PowerMatchesSLEMPower(t *testing.T) {
 	ctx := context.Background()
 	ringChords := warmTestGraph(90)
@@ -225,14 +227,23 @@ func TestLambda2PowerMatchesSLEMPower(t *testing.T) {
 		lambda2 uint64 // math.Float64bits of λ₂
 		iters2  int
 		vector  uint64 // vectorBits of Vector2
+		lambdaN uint64 // math.Float64bits of slemPower's λ_n
+		itersN  int
 	}{
-		{"cold ring seed 1", ringChords, Options{Tol: 1e-9, Seed: 1}, 0x3fefa67e193d0036, 1073, 0xb5647433fa596755},
-		{"cold ring seed 2", ringChords, Options{Tol: 1e-9, Seed: 2}, 0x3fefa67e193d0034, 1149, 0x11091d708b707fa3},
-		{"cold ring seed 3", ringChords, Options{Tol: 1e-9, Seed: 3}, 0x3fefa67e193d0040, 1079, 0xed1dc95a4589cc25},
-		{"cold random seed 1", random, Options{Tol: 1e-8, Seed: 1}, 0x3fee1bd08770ebc4, 2316, 0x8186f04b6d7992ef},
-		{"cold random seed 2", random, Options{Tol: 1e-8, Seed: 2}, 0x3fee1bd08770ebc4, 2433, 0x778668a61139d736},
-		{"cold random seed 3", random, Options{Tol: 1e-8, Seed: 3}, 0x3fee1bd08770ebc8, 2833, 0xfc87f64d67fdb1ca},
-		{"warm random", random, Options{Tol: 1e-8, Seed: 2, Start: rough.Vector2}, 0x3fee1bd08770ebc2, 1507, 0xba2c5933642666b4},
+		{"cold ring seed 1", ringChords, Options{Tol: 1e-9, Seed: 1}, 0x3fefa67e193d0036, 1073, 0xb5647433fa596755,
+			0xbfe7f605b8b87ff6, 8116},
+		{"cold ring seed 2", ringChords, Options{Tol: 1e-9, Seed: 2}, 0x3fefa67e193d0034, 1149, 0x11091d708b707fa3,
+			0xbfe7f605b8b88004, 7464},
+		{"cold ring seed 3", ringChords, Options{Tol: 1e-9, Seed: 3}, 0x3fefa67e193d0040, 1079, 0xed1dc95a4589cc25,
+			0xbfe7f605b8b87ff8, 7745},
+		{"cold random seed 1", random, Options{Tol: 1e-8, Seed: 1}, 0x3fee1bd08770ebc4, 2316, 0x8186f04b6d7992ef,
+			0xbfee435beaa88ae2, 3107},
+		{"cold random seed 2", random, Options{Tol: 1e-8, Seed: 2}, 0x3fee1bd08770ebc4, 2433, 0x778668a61139d736,
+			0xbfee435beaa88ade, 2989},
+		{"cold random seed 3", random, Options{Tol: 1e-8, Seed: 3}, 0x3fee1bd08770ebc8, 2833, 0xfc87f64d67fdb1ca,
+			0xbfee435beaa88afa, 2432},
+		{"warm random", random, Options{Tol: 1e-8, Seed: 2, Start: rough.Vector2}, 0x3fee1bd08770ebc2, 1507, 0xba2c5933642666b4,
+			0xbfee435beaa88ade, 2989},
 	}
 	for _, c := range cases {
 		full, err := SLEMPowerContext(ctx, c.g, c.opt)
@@ -263,6 +274,10 @@ func TestLambda2PowerMatchesSLEMPower(t *testing.T) {
 			if e.est.WarmStarted != (c.opt.Start != nil) {
 				t.Errorf("%s: %s warm started %v", c.name, e.who, e.est.WarmStarted)
 			}
+		}
+		if got := math.Float64bits(full.LambdaN); got != c.lambdaN || full.ItersN != c.itersN {
+			t.Errorf("%s: SLEMPowerContext λ_n bits %#x after %d iterations, pinned %#x after %d",
+				c.name, got, full.ItersN, c.lambdaN, c.itersN)
 		}
 		if l2.Iterations != l2.Iters2 || l2.ItersN != 0 || l2.Converged != full.Converged {
 			t.Errorf("%s: iterations %d/%d/%d converged %v, want %d/%d/0 and %v", c.name,
