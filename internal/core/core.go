@@ -35,6 +35,14 @@ type Options struct {
 	// MaxWalk caps the propagated walk length per source
 	// (default api.DefaultMaxWalk).
 	MaxWalk int
+	// StopEps, when positive, stops each propagation block once every
+	// source in it has been within StopEps of π at least once, so its
+	// traces end at the block's last first crossing (zero propagates
+	// to MaxWalk). Set it only when the traces are read through
+	// SampledMixingTime or AverageMixingTime at StopEps: past a
+	// stopped trace's end, DistancesAt returns the last recorded
+	// distance, not the true one.
+	StopEps float64
 	// SpectralTol is the SLEM tolerance
 	// (default api.DefaultSpectralTol).
 	SpectralTol float64
@@ -187,7 +195,7 @@ func MeasureContext(ctx context.Context, g *graph.Graph, opt Options) (*Measurem
 			onTrace = func(done, total int) { opt.Progress("sampling", done, total) }
 		}
 		stopSampling := opt.Collector.Timer("sampling")
-		traces, err := chain.TraceSampleBlockedContext(ctx, m.Sources, opt.MaxWalk, opt.BlockSize, opt.Workers, onTrace)
+		traces, err := chain.TraceSampleBlockedContext(ctx, m.Sources, opt.MaxWalk, opt.StopEps, opt.BlockSize, opt.Workers, onTrace)
 		stopSampling()
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)

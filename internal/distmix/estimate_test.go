@@ -58,13 +58,16 @@ func TestEstimateMatchesExactPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	traces, err := chain.TraceSampleBlockedContext(context.Background(), sources, opt.MaxRounds, opt.Eps, 0, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	exact := 0
 	for i, src := range sources {
-		tr, ok := chain.TraceUntil(src, opt.Eps, opt.MaxRounds)
+		te, ok := traces[i].MixingTime(opt.Eps)
 		if !ok {
 			t.Fatalf("exact trace from %d did not mix", src)
 		}
-		te, _ := tr.MixingTime(opt.Eps)
 		if te > exact {
 			exact = te
 		}

@@ -69,8 +69,9 @@ func distMixSources(g *graph.Graph, cfg Config) []graph.NodeID {
 
 // exactTau propagates the exact distribution from every source on the
 // comparison chain (lazy iff bipartite, like every other measurement)
-// and applies Definition 1. Incomplete sources contribute the walk cap
-// as a lower bound, mirroring markov.MixingTime.
+// and applies Definition 1. Each block stops at its last first
+// crossing of eps; incomplete sources contribute the walk cap as a
+// lower bound (markov.MixingTime).
 func exactTau(ctx context.Context, g *graph.Graph, sources []graph.NodeID, eps float64, cfg Config) (int, bool, error) {
 	var opts []markov.Option
 	if graph.IsBipartite(g) {
@@ -83,22 +84,11 @@ func exactTau(ctx context.Context, g *graph.Graph, sources []graph.NodeID, eps f
 	if err != nil {
 		return 0, false, err
 	}
-	tau, complete := 0, true
-	for _, s := range sources {
-		if err := ctx.Err(); err != nil {
-			return 0, false, err
-		}
-		tr, ok := chain.TraceUntil(s, eps, cfg.MaxWalk)
-		t := len(tr.TV)
-		if ok {
-			t, _ = tr.MixingTime(eps)
-		} else {
-			complete = false
-		}
-		if t > tau {
-			tau = t
-		}
+	traces, err := chain.TraceSampleBlockedContext(ctx, sources, cfg.MaxWalk, eps, cfg.BlockSize, cfg.Workers, nil)
+	if err != nil {
+		return 0, false, err
 	}
+	tau, complete := markov.MixingTime(traces, eps)
 	return tau, complete, nil
 }
 

@@ -80,7 +80,7 @@ func Figure6Context(ctx context.Context, cfg Config, obs runner.Observer) ([]Fig
 		}
 		rng := rand.New(rand.NewPCG(cfg.Seed, uint64(level)))
 		sources := markov.SampleSources(lcc, cfg.Sources, rng)
-		traces, err := chain.TraceSampleBlockedContext(ctx, sources, cfg.MaxWalk, cfg.BlockSize, cfg.Workers, nil)
+		traces, err := chain.TraceSampleBlockedContext(ctx, sources, cfg.MaxWalk, 0, cfg.BlockSize, cfg.Workers, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: dblp-%d: %w", level, err)
 		}

@@ -80,7 +80,7 @@ func Figure7Context(ctx context.Context, cfg Config, obs runner.Observer) ([]Fig
 				return nil, fmt.Errorf("experiments: %s/%d: %w", name, paperSize, err)
 			}
 			sources := markov.SampleSources(sub, cfg.Sources, rng)
-			traces, err := chain.TraceSampleBlockedContext(ctx, sources, cfg.MaxWalk, cfg.BlockSize, cfg.Workers, nil)
+			traces, err := chain.TraceSampleBlockedContext(ctx, sources, cfg.MaxWalk, 0, cfg.BlockSize, cfg.Workers, nil)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s/%d: %w", name, paperSize, err)
 			}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"mixtime/internal/core"
 	"mixtime/internal/datasets"
@@ -24,11 +25,13 @@ type DistanceCDF struct {
 	Distances []float64
 }
 
-// measurePhysics runs the shared propagation pass for one physics
-// dataset: traces from up to cfg.Sources vertices (every vertex when
-// the scaled graph is small enough — the paper's brute force). Source
-// completions stream to obs as KindStageProgress events.
-func measurePhysics(ctx context.Context, name string, cfg Config, obs runner.Observer) (*core.Measurement, error) {
+// measurePhysics runs the propagation pass for one physics dataset:
+// traces from up to cfg.Sources vertices (every vertex when the scaled
+// graph is small enough — the paper's brute force), propagated only as
+// far as the longest probe walk the figure reads, and the SLEM only
+// when the figure prints µ (withSLEM). Source completions stream to
+// obs as KindStageProgress events.
+func measurePhysics(ctx context.Context, name string, walks []int, withSLEM bool, cfg Config, obs runner.Observer) (*core.Measurement, error) {
 	d, err := datasets.ByName(name)
 	if err != nil {
 		return nil, err
@@ -42,14 +45,15 @@ func measurePhysics(ctx context.Context, name string, cfg Config, obs runner.Obs
 		}
 	}
 	return core.MeasureContext(ctx, g, core.Options{
-		Sources:     cfg.Sources,
-		MaxWalk:     cfg.MaxWalk,
-		SpectralTol: cfg.SpectralTol,
-		Seed:        cfg.Seed,
-		Workers:     cfg.Workers,
-		BlockSize:   cfg.BlockSize,
-		Progress:    progress,
-		Collector:   cfg.Collector,
+		Sources:      cfg.Sources,
+		MaxWalk:      min(cfg.MaxWalk, slices.Max(walks)),
+		SpectralTol:  cfg.SpectralTol,
+		Seed:         cfg.Seed,
+		SkipSpectral: !withSLEM,
+		Workers:      cfg.Workers,
+		BlockSize:    cfg.BlockSize,
+		Progress:     progress,
+		Collector:    cfg.Collector,
 	})
 }
 
@@ -70,7 +74,7 @@ func physicsCDFs(ctx context.Context, names []string, walks []int, cfg Config, o
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("experiments: cancelled before %s: %w", name, err)
 		}
-		m, err := measurePhysics(ctx, name, cfg, obs)
+		m, err := measurePhysics(ctx, name, walks, false, cfg, obs)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", name, err)
 		}
@@ -137,7 +141,7 @@ func Figure5Context(ctx context.Context, cfg Config, obs runner.Observer) ([]Fig
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("experiments: figure5 cancelled before %s: %w", name, err)
 		}
-		m, err := measurePhysics(ctx, name, cfg, obs)
+		m, err := measurePhysics(ctx, name, walks, true, cfg, obs)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", name, err)
 		}

@@ -80,17 +80,6 @@ func (t *Tridiag) Eigenvalue(i int, tol float64) float64 {
 	return lo + (hi-lo)/2
 }
 
-// Eigenvalues returns all eigenvalues in ascending order, each to
-// within tol.
-func (t *Tridiag) Eigenvalues(tol float64) []float64 {
-	k := t.Dim()
-	vals := make([]float64, k)
-	for i := 0; i < k; i++ {
-		vals[i] = t.Eigenvalue(i, tol)
-	}
-	return vals
-}
-
 // Extremes returns the smallest and largest eigenvalues, bit for bit
 // as Eigenvalue(0, tol) and Eigenvalue(k−1, tol) return them: each
 // side keeps Eigenvalue's bracket, midpoints, tolerance and stopping

@@ -21,26 +21,6 @@ func Dot(x, y []float64) float64 {
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
 
-// Norm1 returns the L1 norm of x.
-func Norm1(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// NormInf returns the maximum absolute entry of x.
-func NormInf(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Scale multiplies x by a in place.
 func Scale(x []float64, a float64) {
 	for i := range x {
@@ -87,22 +67,6 @@ func AxpyDot(a float64, x, y, z []float64) float64 {
 func Sub(dst, x, y []float64) {
 	for i := range dst {
 		dst[i] = x[i] - y[i]
-	}
-}
-
-// Sum returns the sum of the entries of x.
-func Sum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// Fill sets every entry of x to a.
-func Fill(x []float64, a float64) {
-	for i := range x {
-		x[i] = a
 	}
 }
 

@@ -330,25 +330,29 @@ func (c *Chain) tvColumn(p []float64, stride, col int) float64 {
 }
 
 // blockBuffers is one worker's reusable propagation state: two
-// n×width distribution buffers, the scaling scratch, and the
-// per-column TV accumulator.
+// n×width distribution buffers, the scaling scratch, the per-column
+// TV accumulator and the per-column first-crossing flags.
 type blockBuffers struct {
 	p, q, w, tv []float64
+	crossed     []bool
 }
 
 func newBlockBuffers(n, width int) *blockBuffers {
 	return &blockBuffers{
-		p:  make([]float64, n*width),
-		q:  make([]float64, n*width),
-		w:  make([]float64, n*width),
-		tv: make([]float64, width),
+		p:       make([]float64, n*width),
+		q:       make([]float64, n*width),
+		w:       make([]float64, n*width),
+		tv:      make([]float64, width),
+		crossed: make([]bool, width),
 	}
 }
 
 // traceBlock propagates the given sources together as one block of
 // width len(sources), recording each column's TV curve after every
-// step. buf must have capacity for at least that width.
-func (c *Chain) traceBlock(ctx context.Context, sources []graph.NodeID, maxT int, buf *blockBuffers) ([]*Trace, error) {
+// step, for maxT steps or until every column has been below eps at
+// least once, whichever comes first. buf must have capacity for at
+// least that width.
+func (c *Chain) traceBlock(ctx context.Context, sources []graph.NodeID, maxT int, eps float64, buf *blockBuffers) ([]*Trace, error) {
 	n := c.g.NumNodes()
 	width := len(sources)
 	p := buf.p[:n*width]
@@ -356,11 +360,14 @@ func (c *Chain) traceBlock(ctx context.Context, sources []graph.NodeID, maxT int
 	for i := range p {
 		p[i] = 0
 	}
+	crossed := buf.crossed[:width]
+	clear(crossed)
 	traces := make([]*Trace, width)
 	for j, s := range sources {
 		p[int(s)*width+j] = 1
 		traces[j] = &Trace{Source: s, TV: make([]float64, maxT)}
 	}
+	steps, open := maxT, width
 	for t := 0; t < maxT; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("markov: blocked trace (%d sources) cancelled at step %d: %w", width, t, err)
@@ -368,12 +375,24 @@ func (c *Chain) traceBlock(ctx context.Context, sources []graph.NodeID, maxT int
 		c.StepBlock(q, p, width, buf.w)
 		p, q = q, p
 		c.blockTV(p, width, buf.tv)
-		for j := range traces {
-			traces[j].TV[t] = buf.tv[j]
+		for j, tr := range traces {
+			d := buf.tv[j]
+			tr.TV[t] = d
+			if d < eps && !crossed[j] {
+				crossed[j] = true
+				open--
+			}
+		}
+		if open == 0 {
+			steps = t + 1
+			break
 		}
 	}
+	for _, tr := range traces {
+		tr.TV = tr.TV[:steps]
+	}
 	if c.col != nil {
-		c.col.Add(telemetry.SourceSteps, int64(maxT)*int64(width))
+		c.col.Add(telemetry.SourceSteps, int64(steps)*int64(width))
 		c.col.Add(telemetry.TracesCompleted, int64(width))
 	}
 	return traces, nil
@@ -387,13 +406,23 @@ func (c *Chain) traceBlock(ctx context.Context, sources []graph.NodeID, maxT int
 // is byte-identical to a sequential TraceFrom, for any blockSize and
 // any workers.
 //
+// eps > 0 sets a first-crossing horizon: a block stops after the step
+// at which the last of its sources first dropped below eps, and each
+// of its traces ends there, a bit-exact prefix of its maxT trace that
+// contains that source's first crossing. Trace.MixingTime,
+// MixingTime and AverageMixingTime at eps read only first crossings,
+// so they return the full-horizon answer. A block with a source that
+// never crosses runs all maxT steps. Readers of distances past the
+// first crossing (probe walk lengths, whole curves) pass eps 0, which
+// no TV distance is below, for the full horizon.
+//
 // The pool stops claiming blocks once ctx is done and in-flight
 // blocks abort at their next step; the error then wraps ctx.Err().
 // onTrace, if non-nil, is called after each completed block with the
 // cumulative (done, total) source counts — calls are serialized and
 // monotonic, so observers can report "sources completed" counters
 // without their own locking.
-func (c *Chain) TraceSampleBlockedContext(ctx context.Context, sources []graph.NodeID, maxT, blockSize, workers int, onTrace func(done, total int)) ([]*Trace, error) {
+func (c *Chain) TraceSampleBlockedContext(ctx context.Context, sources []graph.NodeID, maxT int, eps float64, blockSize, workers int, onTrace func(done, total int)) ([]*Trace, error) {
 	total := len(sources)
 	if total == 0 {
 		return []*Trace{}, nil
@@ -422,7 +451,7 @@ func (c *Chain) TraceSampleBlockedContext(ctx context.Context, sources []graph.N
 			if hi > total {
 				hi = total
 			}
-			trs, err := c.traceBlock(ctx, sources[lo:hi], maxT, buf)
+			trs, err := c.traceBlock(ctx, sources[lo:hi], maxT, eps, buf)
 			if err != nil {
 				return nil, fmt.Errorf("markov: blocked trace sampling cancelled after %d of %d sources: %w", lo, total, err)
 			}
@@ -455,7 +484,7 @@ func (c *Chain) TraceSampleBlockedContext(ctx context.Context, sources []graph.N
 				if hi > total {
 					hi = total
 				}
-				trs, err := c.traceBlock(ctx, sources[lo:hi], maxT, buf)
+				trs, err := c.traceBlock(ctx, sources[lo:hi], maxT, eps, buf)
 				if err != nil {
 					return // ctx cancelled; surfaced after Wait
 				}

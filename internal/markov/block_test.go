@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"mixtime/internal/datasets"
 	"mixtime/internal/gen"
 	"mixtime/internal/graph"
 	"mixtime/internal/telemetry"
@@ -84,7 +85,7 @@ func TestTraceBlockMatchesTraceFrom(t *testing.T) {
 	for name, g := range blockFixtures(t) {
 		c := mustChain(t, g, Lazy())
 		sources := []graph.NodeID{0, 3, graph.NodeID(g.NumNodes() - 1)}
-		got, err := c.traceBlock(context.Background(), sources, 20, newBlockBuffers(g.NumNodes(), len(sources)))
+		got, err := c.traceBlock(context.Background(), sources, 20, 0, newBlockBuffers(g.NumNodes(), len(sources)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func TestTraceSampleBlockedMatchesSequential(t *testing.T) {
 						col := telemetry.New()
 						cc := mustChain(t, g, append(lazyOpt, WithCollector(col))...)
 						got, err := cc.TraceSampleBlockedContext(context.Background(),
-							sources, maxT, blockSize, workers, nil)
+							sources, maxT, 0, blockSize, workers, nil)
 						label := fmt.Sprintf("%s lazy=%v sources=%d B=%d workers=%d",
 							name, cc.IsLazy(), len(sources), blockSize, workers)
 						if err != nil {
@@ -153,12 +154,115 @@ func groupPasses(total, blockSize int) int {
 	return passes
 }
 
+// stopFixtures are the graphs the first-crossing horizon is checked
+// on: the gen families (uniform, community, bipartite grid, barbell
+// bottleneck, preferential attachment) and three Table-1 substitutes
+// at their 200-node floor. The plain walk on the grid never mixes, so
+// its blocks always run the full horizon.
+func stopFixtures(t *testing.T) map[string]*graph.Graph {
+	t.Helper()
+	fx := blockFixtures(t)
+	fx["grid"] = gen.Grid(8, 10)
+	fx["barbell"] = gen.Barbell(12)
+	fx["barabasi-albert"] = gen.BarabasiAlbert(200, 2, rand.New(rand.NewPCG(9, 10)))
+	for _, name := range []string{"wiki-vote", "physics-1", "youtube"} {
+		d, err := datasets.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx[name] = d.Generate(0.0005, 1)
+	}
+	return fx
+}
+
+// TestTraceStopMatchesFullHorizon holds the first-crossing horizon to
+// the full-horizon traces: every stopped trace is a bit-exact prefix
+// of its TraceFrom trace, every trace of a block ends at the block's
+// last first crossing of eps (maxT when some source never crosses),
+// first-crossing readers return the full-horizon answers, and
+// source_steps and edges_scanned count the steps actually run. Only
+// the plain walk on the Erdős–Rényi graph reaches eps 1e-12 within
+// maxT; every other fixture runs those blocks to the full horizon.
+func TestTraceStopMatchesFullHorizon(t *testing.T) {
+	const maxT = 80
+	early, full := 0, 0
+	for name, g := range stopFixtures(t) {
+		sources := SampleSources(g, 13, rand.New(rand.NewPCG(4, 2)))
+		for _, lazyOpt := range [][]Option{nil, {Lazy()}} {
+			ref := mustChain(t, g, lazyOpt...).TraceSample(sources, maxT)
+			for _, eps := range []float64{0.25, 0.1, 0.02, 1e-12} {
+				for _, blockSize := range []int{1, 3, 8, 16} {
+					for _, workers := range []int{1, 2} {
+						col := telemetry.New()
+						c := mustChain(t, g, append(lazyOpt, WithCollector(col))...)
+						label := fmt.Sprintf("%s lazy=%v eps=%v B=%d workers=%d", name, c.IsLazy(), eps, blockSize, workers)
+						got, err := c.TraceSampleBlockedContext(context.Background(), sources, maxT, eps, blockSize, workers, nil)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						var wantSteps, wantEdges int64
+						b := min(blockSize, len(sources))
+						for lo := 0; lo < len(sources); lo += b {
+							hi := min(lo+b, len(sources))
+							stop := 0
+							for _, tr := range ref[lo:hi] {
+								ti, ok := tr.MixingTime(eps)
+								if !ok {
+									ti = maxT
+								}
+								stop = max(stop, ti)
+							}
+							if stop < maxT {
+								early++
+							} else {
+								full++
+							}
+							for i := lo; i < hi; i++ {
+								if len(got[i].TV) != stop {
+									t.Fatalf("%s: trace %d has %d steps, want the block's last first crossing %d",
+										label, i, len(got[i].TV), stop)
+								}
+								mustEqualTraces(t, label, got[i:i+1], []*Trace{{Source: ref[i].Source, TV: ref[i].TV[:stop]}})
+								gt, gok := got[i].MixingTime(eps)
+								wt, wok := ref[i].MixingTime(eps)
+								if gt != wt || gok != wok {
+									t.Fatalf("%s: trace %d MixingTime = %d,%v, full horizon %d,%v", label, i, gt, gok, wt, wok)
+								}
+							}
+							wantSteps += int64(stop * (hi - lo))
+							wantEdges += int64(stop*blockPasses(hi-lo)) * 2 * g.NumEdges()
+						}
+						gt, gok := MixingTime(got, eps)
+						wt, wok := MixingTime(ref, eps)
+						if gt != wt || gok != wok {
+							t.Fatalf("%s: MixingTime = %d,%v, full horizon %d,%v", label, gt, gok, wt, wok)
+						}
+						if ga, wa := AverageMixingTime(got, eps), AverageMixingTime(ref, eps); ga != wa {
+							t.Fatalf("%s: AverageMixingTime = %v, full horizon %v", label, ga, wa)
+						}
+						snap := col.Snapshot()
+						if got := snap.Get(telemetry.SourceSteps); got != wantSteps {
+							t.Fatalf("%s: source_steps = %d, want %d", label, got, wantSteps)
+						}
+						if got := snap.Get(telemetry.EdgesScanned); got != wantEdges {
+							t.Fatalf("%s: edges_scanned = %d, want %d", label, got, wantEdges)
+						}
+					}
+				}
+			}
+		}
+	}
+	if early == 0 || full == 0 {
+		t.Fatalf("%d blocks stopped early and %d ran the full horizon; the fixtures must exercise both", early, full)
+	}
+}
+
 func TestTraceSampleBlockedProgress(t *testing.T) {
 	g := complete(20)
 	c := mustChain(t, g)
 	sources := []graph.NodeID{0, 1, 2, 3, 4, 5, 6} // blocks of 3: 3+3+1
 	var dones []int
-	_, err := c.TraceSampleBlockedContext(context.Background(), sources, 5, 3, 1,
+	_, err := c.TraceSampleBlockedContext(context.Background(), sources, 5, 0, 3, 1,
 		func(done, total int) {
 			if total != len(sources) {
 				t.Fatalf("total = %d", total)
@@ -184,10 +288,10 @@ func TestTraceSampleBlockedCancellation(t *testing.T) {
 	// Already-cancelled context: no block survives its first step.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.TraceSampleBlockedContext(ctx, sources, 50, 4, 1, nil); !errors.Is(err, context.Canceled) {
+	if _, err := c.TraceSampleBlockedContext(ctx, sources, 50, 0, 4, 1, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled err = %v", err)
 	}
-	if _, err := c.TraceSampleBlockedContext(ctx, sources, 50, 4, 3, nil); !errors.Is(err, context.Canceled) {
+	if _, err := c.TraceSampleBlockedContext(ctx, sources, 50, 0, 4, 3, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled parallel err = %v", err)
 	}
 
@@ -195,7 +299,7 @@ func TestTraceSampleBlockedCancellation(t *testing.T) {
 	// later blocks must abort and the error must wrap ctx.Err().
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
-	_, err := c.TraceSampleBlockedContext(ctx2, sources, 50, 4, 1,
+	_, err := c.TraceSampleBlockedContext(ctx2, sources, 50, 0, 4, 1,
 		func(done, total int) { cancel2() })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run err = %v", err)
@@ -204,7 +308,7 @@ func TestTraceSampleBlockedCancellation(t *testing.T) {
 
 func TestTraceSampleBlockedEmptySources(t *testing.T) {
 	c := mustChain(t, complete(5))
-	got, err := c.TraceSampleBlockedContext(context.Background(), nil, 10, 8, 2, nil)
+	got, err := c.TraceSampleBlockedContext(context.Background(), nil, 10, 0, 8, 2, nil)
 	if err != nil || got == nil || len(got) != 0 {
 		t.Fatalf("empty sources = %v, %v", got, err)
 	}

@@ -107,7 +107,7 @@ func BenchmarkTraceSampleBlocked(b *testing.B) {
 	for _, width := range []int{1, 8} {
 		b.Run(fmt.Sprintf("B=%d", width), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := c.TraceSampleBlockedContext(context.Background(), sources, 50, width, 1, nil); err != nil {
+				if _, err := c.TraceSampleBlockedContext(context.Background(), sources, 50, 0, width, 1, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

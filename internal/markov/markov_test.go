@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -199,17 +200,30 @@ func TestKLDivergence(t *testing.T) {
 	}
 }
 
+// TestTraceUntil: given eps, the blocked tracer ends a lone source's
+// trace at its first crossing; eps 0 is never reached, so that trace
+// runs all maxT steps.
 func TestTraceUntil(t *testing.T) {
 	c := mustChain(t, complete(20))
-	tr, ok := c.TraceUntil(0, 1e-6, 100)
+	trace := func(eps float64, maxT int) *Trace {
+		trs, err := c.TraceSampleBlockedContext(context.Background(), []graph.NodeID{0}, maxT, eps, 1, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return trs[0]
+	}
+	tr := trace(1e-6, 100)
+	tm, ok := tr.MixingTime(1e-6)
 	if !ok {
 		t.Fatal("K20 did not mix to 1e-6 in 100 steps")
 	}
-	if last := tr.TV[len(tr.TV)-1]; last >= 1e-6 {
-		t.Fatalf("final distance %v", last)
+	if tm != len(tr.TV) {
+		t.Fatalf("trace runs %d steps past its first crossing at %d", len(tr.TV)-tm, tm)
 	}
-	_, ok = c.TraceUntil(0, 0, 5) // eps=0 unreachable
-	if ok {
+	if tr = trace(0, 5); len(tr.TV) != 5 {
+		t.Fatalf("eps=0 trace has %d steps, want 5", len(tr.TV))
+	}
+	if _, ok = tr.MixingTime(0); ok {
 		t.Fatal("reached eps=0")
 	}
 }

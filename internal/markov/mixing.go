@@ -74,37 +74,6 @@ func (c *Chain) TraceFromContext(ctx context.Context, src graph.NodeID, maxT int
 	return &Trace{Source: src, TV: tv}, nil
 }
 
-// TraceUntil propagates from src until the TV distance drops below
-// eps or maxT steps elapse, returning the (possibly shorter) trace and
-// whether eps was reached.
-func (c *Chain) TraceUntil(src graph.NodeID, eps float64, maxT int) (*Trace, bool) {
-	n := c.g.NumNodes()
-	p := c.Delta(src)
-	q := make([]float64, n)
-	scratch := make([]float64, n)
-	tv := make([]float64, 0, 64)
-	for t := 0; t < maxT; t++ {
-		c.Step(q, p, scratch)
-		p, q = q, p
-		d := TVDistance(p, c.pi)
-		tv = append(tv, d)
-		if d < eps {
-			c.traceDone(len(tv))
-			return &Trace{Source: src, TV: tv}, true
-		}
-	}
-	c.traceDone(len(tv))
-	return &Trace{Source: src, TV: tv}, false
-}
-
-// traceDone records one finished trace of the given length.
-func (c *Chain) traceDone(steps int) {
-	if c.col != nil {
-		c.col.Add(telemetry.SourceSteps, int64(steps))
-		c.col.Add(telemetry.TracesCompleted, 1)
-	}
-}
-
 // TraceSample runs TraceFrom for each of the given sources (the
 // paper's 1000-source sampling for large graphs).
 func (c *Chain) TraceSample(sources []graph.NodeID, maxT int) []*Trace {

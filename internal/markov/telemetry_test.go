@@ -86,7 +86,7 @@ func TestTraceCollectorCounts(t *testing.T) {
 
 	col.Reset()
 	sources := []graph.NodeID{0, 1, 2, 3}
-	if _, err := c.TraceSampleBlockedContext(context.Background(), sources, maxT, len(sources), 1, nil); err != nil {
+	if _, err := c.TraceSampleBlockedContext(context.Background(), sources, maxT, 0, len(sources), 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap = col.Snapshot()

@@ -113,10 +113,12 @@ func solveBounds(ctx context.Context, p api.Params, e *Entry, col *telemetry.Col
 
 func solveCDF(ctx context.Context, p api.Params, e *Entry, col *telemetry.Collector) (*api.CDFResult, error) {
 	// The entry's graph is already the largest component, so KeepWhole
-	// skips a redundant extraction.
+	// skips a redundant extraction. The payload reads only first
+	// crossings of ε, so each block stops at its last one.
 	m, err := core.MeasureContext(ctx, e.Graph, core.Options{
 		Sources:      p.Sources,
 		MaxWalk:      p.MaxWalk,
+		StopEps:      p.Eps,
 		Seed:         p.Seed,
 		SkipSpectral: true,
 		KeepWhole:    true,

@@ -2,7 +2,7 @@
 # check.sh — the pre-merge gate: formatting, vet (native and a
 # darwin/arm64 cross-build), package-doc presence, the full test suite
 # under the race detector, the perfbench module's vet and tests,
-# byte-identical regeneration of the SLEM and Whanau artifacts in
+# byte-identical regeneration of the SLEM, physics and Whanau artifacts in
 # results/, and (when at least two BENCH_*.json snapshots exist) the
 # kernel benchmark regression diff. Run from anywhere inside the repo.
 set -eu
@@ -78,17 +78,19 @@ echo "== graphio fuzz corpus =="
 #   go test -fuzz=FuzzReadMIXG -fuzztime=30s ./internal/graphio
 go test -run='^Fuzz' ./internal/graphio
 
-echo "== SLEM and Whanau artifacts =="
+echo "== SLEM, physics and Whanau artifacts =="
 # The seven committed artifacts whose rows come from a SLEM solve
 # (Table 1, Figures 1/2/6/7, the conductance and trust extensions),
-# the two Whanau checks (X3's blocked tail-edge propagation, X7's
-# walk-built DHTs) and the two evolving-graph trajectories (E1, E2:
-# the only artifacts that run power iteration's λ_n phase and the
-# warm-started tracker) must regenerate byte-identically from the
-# recorded configuration (EXPERIMENTS.md), so a solver, kernel or
-# walk change that moves any reported digit fails here rather than in
-# a later artifact refresh.
-art_ids="T1 F1 F2 F6 F7 X2 X3 X4 X7 E1 E2"
+# the three brute-force physics figures (F3-F5: blocked traces cut at
+# each figure's longest probe walk), the two Whanau checks (X3's
+# blocked tail-edge propagation, X7's walk-built DHTs) and the two
+# evolving-graph trajectories (E1, E2: the only artifacts that run
+# power iteration's λ_n phase and the warm-started tracker) must
+# regenerate byte-identically from the recorded configuration
+# (EXPERIMENTS.md), so a solver, kernel, horizon or walk change that
+# moves any reported digit fails here rather than in a later artifact
+# refresh.
+art_ids="T1 F1 F2 F3 F4 F5 F6 F7 X2 X3 X4 X7 E1 E2"
 art_dir=$(mktemp -d)
 trap 'rm -rf "$art_dir"' EXIT
 go run ./cmd/paperfigs -q -only "$(echo $art_ids | tr ' ' ,)" -scale 0.005 -sources 200 \
