@@ -7,22 +7,19 @@ import (
 )
 
 func TestParamsDefaults(t *testing.T) {
-	p := Defaults()
-	if p.Seed != DefaultSeed {
-		t.Errorf("Defaults().Seed = %d, want %d", p.Seed, DefaultSeed)
-	}
+	p := Params{Seed: DefaultSeed}.WithDefaults()
 	if p.Sources != DefaultSources || p.MaxWalk != DefaultMaxWalk ||
 		p.SpectralTol != DefaultSpectralTol || p.Scale != DefaultScale {
-		t.Errorf("Defaults() = %+v, want the canonical constants", p)
+		t.Errorf("WithDefaults() = %+v, want the canonical constants", p)
 	}
 	if p.DistShards != DefaultDistShards || p.DistWalks != DefaultDistWalks ||
 		p.DistRounds != DefaultDistRounds {
-		t.Errorf("Defaults() dist knobs = %d/%d/%d, want %d/%d/%d",
+		t.Errorf("WithDefaults() dist knobs = %d/%d/%d, want %d/%d/%d",
 			p.DistShards, p.DistWalks, p.DistRounds,
 			DefaultDistShards, DefaultDistWalks, DefaultDistRounds)
 	}
 	if err := p.Validate(); err != nil {
-		t.Errorf("Defaults().Validate() = %v", err)
+		t.Errorf("WithDefaults().Validate() = %v", err)
 	}
 }
 

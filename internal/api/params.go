@@ -19,10 +19,10 @@ import (
 const (
 	// DefaultScale multiplies every dataset's node count.
 	DefaultScale = 0.01
-	// DefaultSeed is the conventional seed constructors start from. It
-	// is applied only by constructors (Defaults, runner.DefaultConfig,
-	// core.DefaultOptions): a zero Seed set explicitly on a Params is a
-	// valid seed and is never rewritten.
+	// DefaultSeed is the conventional seed: the CLIs' -seed flags and
+	// core.DefaultOptions start from it. WithDefaults never applies it,
+	// so a zero Seed set explicitly on a Params is a valid seed and is
+	// never rewritten.
 	DefaultSeed = 1
 	// DefaultSources is the number of sampled start vertices for
 	// direct measurements.
@@ -82,7 +82,7 @@ type Params struct {
 	// Loaded snapshot graphs ignore it.
 	Scale float64 `json:"scale,omitempty"`
 	// Seed makes runs deterministic. Zero is a valid seed: defaults
-	// never overwrite it (use Defaults for the conventional seed 1).
+	// never overwrite it (DefaultSeed is the conventional seed 1).
 	Seed uint64 `json:"seed"`
 	// Sources is the number of start vertices for direct measurements
 	// and the suspect-sample size for admission queries (default
@@ -123,25 +123,6 @@ type Params struct {
 	// DistRounds caps supersteps per distmix source (default
 	// DefaultDistRounds). Output-determining, fingerprinted.
 	DistRounds int `json:"dist_rounds,omitempty"`
-}
-
-// Defaults returns the canonical parameters, including the
-// conventional Seed 1. This constructor is the only place the default
-// seed is applied; WithDefaults leaves Seed untouched.
-func Defaults() Params {
-	return Params{
-		Scale:       DefaultScale,
-		Seed:        DefaultSeed,
-		Sources:     DefaultSources,
-		MaxWalk:     DefaultMaxWalk,
-		SpectralTol: DefaultSpectralTol,
-		BlockSize:   DefaultBlockSize,
-		Method:      MethodLanczos,
-		Eps:         DefaultEps,
-		DistShards:  DefaultDistShards,
-		DistWalks:   DefaultDistWalks,
-		DistRounds:  DefaultDistRounds,
-	}
 }
 
 // WithDefaults fills unset (zero or negative) fields with the

@@ -56,7 +56,7 @@ func TestSaveLookupRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := runner.DefaultConfig()
+	cfg := runner.Config{Seed: api.DefaultSeed}.WithDefaults()
 	rep := report("T1", "payload", 3*time.Second)
 	if err := s.Save("T1", cfg, rep); err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestLookupMissesOnFingerprintMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := runner.DefaultConfig()
+	cfg := runner.Config{Seed: api.DefaultSeed}.WithDefaults()
 	if err := s.Save("F1", cfg, report("F1", "x", time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestLookupMissesOnTornEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := runner.DefaultConfig()
+	cfg := runner.Config{Seed: api.DefaultSeed}.WithDefaults()
 	if err := s.Save("X1", cfg, report("X1", "x", time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestSaveRestoresTelemetry(t *testing.T) {
 	snap := col.Snapshot()
 	rep := report("F3", "x", time.Second)
 	rep.Telemetry = &snap
-	cfg := runner.DefaultConfig()
+	cfg := runner.Config{Seed: api.DefaultSeed}.WithDefaults()
 	if err := s.Save("F3", cfg, rep); err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestCheckpointFailureDoesNotFailRun(t *testing.T) {
 }
 
 func TestFingerprintStability(t *testing.T) {
-	cfg := runner.DefaultConfig()
+	cfg := runner.Config{Seed: api.DefaultSeed}.WithDefaults()
 	a, b := Fingerprint("T1", cfg), Fingerprint("T1", cfg)
 	if a != b {
 		t.Error("fingerprint not deterministic")

@@ -40,17 +40,6 @@ func (l Labels) Normalize() int {
 	return len(remap)
 }
 
-// CommunityOf returns the member set of v's community.
-func CommunityOf(l Labels, v graph.NodeID) []graph.NodeID {
-	var out []graph.NodeID
-	for u, c := range l {
-		if c == l[v] {
-			out = append(out, graph.NodeID(u))
-		}
-	}
-	return out
-}
-
 // Modularity returns Newman's modularity Q ∈ [−0.5, 1) of the
 // labeling: the fraction of edges inside communities minus the
 // expectation under the degree-preserving null model. Communities are

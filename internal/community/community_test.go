@@ -22,10 +22,6 @@ func TestLabelsHelpers(t *testing.T) {
 	if k != 3 || l[0] != 0 || l[2] != 1 || l[4] != 2 {
 		t.Fatalf("normalized %v (k=%d)", l, k)
 	}
-	members := CommunityOf(l, 0)
-	if len(members) != 3 {
-		t.Fatalf("community of 0: %v", members)
-	}
 }
 
 func TestModularityKnownValues(t *testing.T) {

@@ -220,22 +220,6 @@ func quicksortWith(keys []uint64, arcs []Arc) {
 	quicksortWith(keys[i:], arcs[i:])
 }
 
-// FromArcs builds a digraph from an arc list; n=0 infers the node
-// count.
-func FromArcs(n int, arcs []Arc) (*DiGraph, error) {
-	b := NewBuilder(len(arcs))
-	for _, a := range arcs {
-		if n > 0 && (int(a.From) >= n || int(a.To) >= n) {
-			return nil, fmt.Errorf("digraph: arc %d→%d out of range for n=%d", a.From, a.To, n)
-		}
-		b.AddArc(a.From, a.To)
-	}
-	if n > 0 {
-		b.AddNode(NodeID(n - 1))
-	}
-	return b.Build(), nil
-}
-
 // Symmetrize converts the digraph to the undirected graph the paper
 // measures: every arc becomes an undirected edge (reciprocal pairs
 // merge).
@@ -247,20 +231,6 @@ func Symmetrize(g *DiGraph) *graph.Graph {
 	for v := 0; v < g.NumNodes(); v++ {
 		for _, w := range g.Out(NodeID(v)) {
 			b.AddEdge(NodeID(v), w)
-		}
-	}
-	return b.Build()
-}
-
-// Reverse returns the digraph with all arcs flipped.
-func Reverse(g *DiGraph) *DiGraph {
-	b := NewBuilder(int(g.NumArcs()))
-	if n := g.NumNodes(); n > 0 {
-		b.AddNode(NodeID(n - 1))
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		for _, w := range g.Out(NodeID(v)) {
-			b.AddArc(w, NodeID(v))
 		}
 	}
 	return b.Build()

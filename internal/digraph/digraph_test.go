@@ -81,16 +81,6 @@ func TestInOutConsistency(t *testing.T) {
 	}
 }
 
-func TestFromArcsRange(t *testing.T) {
-	if _, err := FromArcs(2, []Arc{{0, 5}}); err == nil {
-		t.Fatal("out-of-range arc accepted")
-	}
-	g, err := FromArcs(3, []Arc{{0, 1}})
-	if err != nil || g.NumNodes() != 3 {
-		t.Fatalf("g=%v err=%v", g, err)
-	}
-}
-
 func TestSymmetrize(t *testing.T) {
 	b := NewBuilder(0)
 	b.AddArc(0, 1)
@@ -102,19 +92,6 @@ func TestSymmetrize(t *testing.T) {
 	}
 	if !g.HasEdge(0, 1) || !g.HasEdge(1, 2) {
 		t.Fatal("edges wrong")
-	}
-}
-
-func TestReverse(t *testing.T) {
-	g := dicycle(5)
-	r := Reverse(g)
-	for v := 0; v < 5; v++ {
-		if !r.HasArc(NodeID((v+1)%5), NodeID(v)) {
-			t.Fatalf("reverse arc missing at %d", v)
-		}
-	}
-	if r.NumArcs() != g.NumArcs() {
-		t.Fatal("arc count changed")
 	}
 }
 

@@ -47,10 +47,6 @@ type Options struct {
 	SourceList []graph.NodeID
 	// Seed drives the hashed walker steps and source sampling.
 	Seed uint64
-	// Lazy forces the lazy walk. Bipartite graphs are measured lazily
-	// regardless, mirroring core.MeasureContext's chain convention so
-	// estimates stay comparable with the exact answers.
-	Lazy bool
 	// Collector, if non-nil, receives the distmix_* communication
 	// counters. Estimates are identical with or without it.
 	Collector *telemetry.Collector
@@ -172,7 +168,10 @@ func EstimateMixingTime(ctx context.Context, g *graph.Graph, opt Options) (*Resu
 	if int64(opt.WalksPerNode)*int64(n) > math.MaxInt32 {
 		return nil, fmt.Errorf("distmix: %d walks per node on %d nodes overflows the walker id space", opt.WalksPerNode, n)
 	}
-	lazy := opt.Lazy || graph.IsBipartite(g)
+	// Bipartite graphs are measured lazily, mirroring
+	// core.MeasureContext's chain convention so estimates stay
+	// comparable with the exact answers.
+	lazy := graph.IsBipartite(g)
 
 	sources := opt.SourceList
 	if sources == nil {

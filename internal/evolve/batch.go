@@ -26,19 +26,6 @@ func GrowRandom(g *graph.Graph, k int, rng *rand.Rand) Batch {
 	})
 }
 
-// MergeCommunities returns a batch inserting up to k distinct random
-// edges between the vertex sets a and b — the community-merge
-// mutation: a few cross-community edges collapse two slow-mixing
-// regions into one faster one (§5 of the paper read in reverse).
-func MergeCommunities(g *graph.Graph, a, b []graph.NodeID, k int, rng *rand.Rand) Batch {
-	if len(a) == 0 || len(b) == 0 {
-		return Batch{}
-	}
-	return sampleAbsent(g, k, rng, func() (graph.NodeID, graph.NodeID) {
-		return a[rng.IntN(len(a))], b[rng.IntN(len(b))]
-	})
-}
-
 // AttackEdges returns a batch inserting up to k distinct random
 // attack edges between the honest region [0, honestN) and the sybil
 // region [honestN, n) of a combined graph — the accretion process

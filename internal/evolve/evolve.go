@@ -1,12 +1,10 @@
 // Package evolve turns the repo's immutable CSR graphs into live,
-// versioned ones: a mutation API (edge insert/delete batches,
-// community merges, attack-edge accretion) where every applied batch
-// produces a fresh valid CSR epoch under a monotone version counter,
-// plus the incremental estimators that make tracking mixing time
-// across epochs cheap — warm-start power iteration and Lanczos seeded
-// from the previous epoch's λ₂ eigenvector, and a delta-maintained
-// degree vector so the stationary distribution π_v = deg(v)/2m is
-// available per epoch without rescanning the CSR.
+// versioned ones: a mutation API (edge insert/delete batches, random
+// growth, attack-edge accretion) where every applied batch produces a
+// fresh valid CSR epoch under a monotone version counter, plus the
+// incremental estimator that makes tracking mixing time across epochs
+// cheap — warm-start power iteration and Lanczos seeded from the
+// previous epoch's λ₂ eigenvector.
 //
 // The design keeps the rest of the system untouched: a MutableGraph
 // hands out immutable *graph.Graph snapshots, so every existing
@@ -61,15 +59,13 @@ type Result struct {
 }
 
 // MutableGraph is a graph that evolves in epochs. It wraps the
-// current immutable CSR behind a version counter and maintains the
-// degree vector incrementally, so π is O(n) per epoch instead of an
-// O(m) CSR scan. Safe for concurrent use: Apply serializes writers,
-// Snapshot and the accessors never block behind a rebuild.
+// current immutable CSR behind a version counter. Safe for concurrent
+// use: Apply serializes writers, Snapshot and the accessors never
+// block behind a rebuild.
 type MutableGraph struct {
 	mu  sync.RWMutex
 	g   *graph.Graph
 	ver Version
-	deg []int
 	m   int64 // current undirected edge count
 	col *telemetry.Collector
 }
@@ -78,12 +74,7 @@ type MutableGraph struct {
 // modified by the caller afterwards (graphs are immutable everywhere
 // else in this codebase, so that is the default).
 func NewMutable(g *graph.Graph) *MutableGraph {
-	n := g.NumNodes()
-	deg := make([]int, n)
-	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(graph.NodeID(v))
-	}
-	return &MutableGraph{g: g, deg: deg, m: g.NumEdges()}
+	return &MutableGraph{g: g, m: g.NumEdges()}
 }
 
 // SetCollector attaches a telemetry collector counting epochs and
@@ -120,31 +111,6 @@ func (mg *MutableGraph) NumEdges() int64 {
 	mg.mu.RLock()
 	defer mg.mu.RUnlock()
 	return mg.m
-}
-
-// Degrees returns a copy of the delta-maintained degree vector.
-func (mg *MutableGraph) Degrees() []int {
-	mg.mu.RLock()
-	defer mg.mu.RUnlock()
-	return append([]int(nil), mg.deg...)
-}
-
-// Stationary returns the stationary distribution π_v = deg(v)/2m of
-// the current epoch's random walk, computed from the delta-maintained
-// degrees — no CSR scan. Isolated vertices get π = 0; on a graph with
-// no edges the result is all zeros.
-func (mg *MutableGraph) Stationary() []float64 {
-	mg.mu.RLock()
-	defer mg.mu.RUnlock()
-	pi := make([]float64, len(mg.deg))
-	if mg.m == 0 {
-		return pi
-	}
-	twoM := float64(2 * mg.m)
-	for v, d := range mg.deg {
-		pi[v] = float64(d) / twoM
-	}
-	return pi
 }
 
 // Apply rebuilds the graph with the batch applied and bumps the
@@ -209,28 +175,6 @@ func (mg *MutableGraph) Apply(b Batch) (Result, error) {
 	mg.g = ng
 	mg.ver++
 	mg.m = ng.NumEdges()
-	// Delta-update the degree vector: rebuilt graphs are the source of
-	// truth for counts, but the vector itself is maintained without a
-	// CSR scan — recompute only the endpoints the batch touched.
-	if n := ng.NumNodes(); n != len(mg.deg) {
-		nd := make([]int, n)
-		copy(nd, mg.deg)
-		mg.deg = nd
-	}
-	touch := func(e graph.Edge) {
-		if int(e.U) < len(mg.deg) {
-			mg.deg[e.U] = ng.Degree(e.U)
-		}
-		if int(e.V) < len(mg.deg) {
-			mg.deg[e.V] = ng.Degree(e.V)
-		}
-	}
-	for _, e := range b.Insert {
-		touch(e)
-	}
-	for _, e := range b.Delete {
-		touch(e)
-	}
 
 	mg.col.Add(telemetry.EvolveEpochs, 1)
 	mg.col.Add(telemetry.EvolveEdgesInserted, int64(inserted))

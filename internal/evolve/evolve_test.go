@@ -1,7 +1,6 @@
 package evolve
 
 import (
-	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -91,9 +90,8 @@ func TestApplyGrowsNodeRange(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("grown epoch invalid: %v", err)
 	}
-	deg := mg.Degrees()
-	if len(deg) != 10 || deg[9] != 1 || deg[3] != 3 {
-		t.Fatalf("degree vector not extended/updated: %v", deg)
+	if g.NumNodes() != 10 || g.Degree(9) != 1 || g.Degree(3) != 3 {
+		t.Fatalf("grown epoch degrees: n=%d deg(9)=%d deg(3)=%d", g.NumNodes(), g.Degree(9), g.Degree(3))
 	}
 }
 
@@ -112,9 +110,8 @@ func TestSnapshotImmutableAcrossMutation(t *testing.T) {
 	}
 }
 
-// checkInvariants asserts the full consistency contract after a batch:
-// CSR validity, edge count, and the delta-maintained degrees and
-// stationary distribution agreeing with a from-scratch recompute.
+// checkInvariants asserts the consistency contract after a batch:
+// CSR validity and the tracked edge count agreeing with the epoch.
 func checkInvariants(t *testing.T, mg *MutableGraph) {
 	t.Helper()
 	g, _ := mg.Snapshot()
@@ -123,31 +120,6 @@ func checkInvariants(t *testing.T, mg *MutableGraph) {
 	}
 	if got, want := mg.NumEdges(), g.NumEdges(); got != want {
 		t.Fatalf("tracked edge count %d != graph %d", got, want)
-	}
-	deg := mg.Degrees()
-	if len(deg) != g.NumNodes() {
-		t.Fatalf("degree vector length %d != %d nodes", len(deg), g.NumNodes())
-	}
-	for v := range deg {
-		if want := g.Degree(graph.NodeID(v)); deg[v] != want {
-			t.Fatalf("deg[%d] = %d, want %d", v, deg[v], want)
-		}
-	}
-	pi := mg.Stationary()
-	twoM := float64(2 * g.NumEdges())
-	var sum float64
-	for v := range pi {
-		want := 0.0
-		if twoM > 0 {
-			want = float64(g.Degree(graph.NodeID(v))) / twoM
-		}
-		if math.Abs(pi[v]-want) > 1e-15 {
-			t.Fatalf("pi[%d] = %v, want %v", v, pi[v], want)
-		}
-		sum += pi[v]
-	}
-	if twoM > 0 && math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("pi sums to %v", sum)
 	}
 }
 
@@ -251,26 +223,6 @@ func TestBatchHelpers(t *testing.T) {
 			t.Fatalf("GrowRandom produced duplicate {%d,%d}", e.U, e.V)
 		}
 		seen[edgeKey(e.U, e.V)] = true
-	}
-
-	a := []graph.NodeID{0, 1, 2, 3}
-	bset := []graph.NodeID{10, 11, 12, 13}
-	merge := MergeCommunities(g, a, bset, 5, rng)
-	if len(merge.Insert) != 5 {
-		t.Fatalf("MergeCommunities produced %d edges, want 5", len(merge.Insert))
-	}
-	inSet := func(v graph.NodeID, s []graph.NodeID) bool {
-		for _, x := range s {
-			if x == v {
-				return true
-			}
-		}
-		return false
-	}
-	for _, e := range merge.Insert {
-		if !(inSet(e.U, a) && inSet(e.V, bset)) && !(inSet(e.V, a) && inSet(e.U, bset)) {
-			t.Fatalf("merge edge {%d,%d} not between the communities", e.U, e.V)
-		}
 	}
 
 	atk := AttackEdges(g, 10, 6, rng)

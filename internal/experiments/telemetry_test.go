@@ -57,12 +57,8 @@ func TestInstrumentedRunsAreByteIdentical(t *testing.T) {
 			t.Errorf("%s: JSON differs with a collector installed", id)
 		}
 
-		snap := col.Snapshot()
-		if snap.IsZero() {
-			t.Errorf("%s: collector observed no kernel work", id)
-		}
-		if snap.Get(telemetry.EdgesScanned) == 0 {
-			t.Errorf("%s: no edges counted", id)
+		if col.Snapshot().Get(telemetry.EdgesScanned) == 0 {
+			t.Errorf("%s: collector observed no kernel work (no edges counted)", id)
 		}
 	}
 }

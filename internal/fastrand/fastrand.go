@@ -25,10 +25,6 @@
 // pure function of the caller's seed, but the derived stream differs
 // from the pre-PCG one — golden values were re-pinned in the PR that
 // introduced this package (see OPTIMIZATIONS.md).
-//
-// Source adapts a PCG to rand/v2's Source interface for
-// compatibility call-sites that genuinely need a *rand.Rand (Shuffle,
-// Float64 tails, ExpFloat64); NewRand builds one.
 package fastrand
 
 import "math/rand/v2"
@@ -111,20 +107,4 @@ func (p *PCG) Float64() float64 {
 // Coin returns a fair boolean — one Uint32 draw, bit 0.
 func (p *PCG) Coin() bool {
 	return p.Uint32()&1 == 0
-}
-
-// Source adapts a PCG to math/rand/v2's Source interface. Use it only
-// at compatibility call-sites; hot loops should hold the PCG directly.
-type Source struct {
-	pcg PCG
-}
-
-// Uint64 implements rand.Source.
-func (s *Source) Uint64() uint64 { return s.pcg.Uint64() }
-
-// NewRand returns a *rand.Rand drawing from a PCG seeded with seed,
-// for call-sites that need the full rand.Rand surface (Shuffle,
-// Perm, ExpFloat64) on top of the same generator family.
-func NewRand(seed uint64) *rand.Rand {
-	return rand.New(&Source{pcg: New(seed)})
 }

@@ -80,17 +80,6 @@ func TestFromRandDeterministic(t *testing.T) {
 	}
 }
 
-// TestSourceAdapter: NewRand's stream is the PCG's Uint64 stream.
-func TestSourceAdapter(t *testing.T) {
-	r := NewRand(9)
-	p := New(9)
-	for i := 0; i < 8; i++ {
-		if got, want := r.Uint64(), p.Uint64(); got != want {
-			t.Fatalf("adapter draw %d = %#x, want %#x", i, got, want)
-		}
-	}
-}
-
 // TestFloat64Range guards the 53-bit mantissa scaling.
 func TestFloat64Range(t *testing.T) {
 	p := New(3)

@@ -45,9 +45,8 @@ type Injector struct {
 	mu  sync.Mutex
 	rng *rand.Rand
 
-	panics atomic.Int64
-	errs   atomic.Int64
-	delays atomic.Int64
+	panics atomic.Int64 // numbers the injected panics
+	errs   atomic.Int64 // numbers the injected errors
 }
 
 // Parse builds an injector from a comma-separated spec of k=v fields:
@@ -194,7 +193,6 @@ func (in *Injector) Inject(ctx context.Context) error {
 	}
 	sleep, act := in.draw()
 	if sleep {
-		in.delays.Add(1)
 		t := time.NewTimer(in.latency)
 		defer t.Stop()
 		select {
@@ -210,14 +208,6 @@ func (in *Injector) Inject(ctx context.Context) error {
 		panic(fmt.Sprintf("faults: injected solve panic #%d", in.panics.Add(1)))
 	}
 	return nil
-}
-
-// Counts reports how many faults of each kind have fired.
-func (in *Injector) Counts() (panics, errors, delays int64) {
-	if in == nil {
-		return 0, 0, 0
-	}
-	return in.panics.Load(), in.errs.Load(), in.delays.Load()
 }
 
 // String renders the armed configuration for startup logs.

@@ -49,9 +49,6 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if err := in.Inject(context.Background()); err != nil {
 		t.Fatalf("nil injector injected: %v", err)
 	}
-	if p, e, d := in.Counts(); p+e+d != 0 {
-		t.Fatalf("nil injector counts = %d/%d/%d", p, e, d)
-	}
 	if got := in.String(); got != "faults: disarmed" {
 		t.Fatalf("nil injector String() = %q", got)
 	}
@@ -89,9 +86,6 @@ func TestCappedAlwaysFire(t *testing.T) {
 	want := []string{"panic", "panic", "panic", "error", "error", "none", "none", "none"}
 	if got := strings.Join(outcomes, ","); got != strings.Join(want, ",") {
 		t.Fatalf("outcome sequence = %s, want %s", got, strings.Join(want, ","))
-	}
-	if p, e, _ := in.Counts(); p != 3 || e != 2 {
-		t.Fatalf("counts = %d panics / %d errors, want 3/2", p, e)
 	}
 }
 
@@ -141,8 +135,5 @@ func TestLatencyHonorsContext(t *testing.T) {
 	}
 	if time.Since(t0) > 5*time.Second {
 		t.Fatal("injected latency ignored the dying context")
-	}
-	if _, _, d := in.Counts(); d != 1 {
-		t.Fatalf("delays = %d, want 1", d)
 	}
 }

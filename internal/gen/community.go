@@ -187,32 +187,6 @@ func WithPendants(g *graph.Graph, pendants int, rng *rand.Rand) *graph.Graph {
 	return b.Build()
 }
 
-// WithChains attaches chains (paths) of the given length to g, each
-// anchored at a uniformly random existing node. Trimming to min
-// degree 2 cascades from each chain's degree-1 tip and removes the
-// whole chain.
-func WithChains(g *graph.Graph, chains, length int, rng *rand.Rand) *graph.Graph {
-	if g.NumNodes() == 0 || chains <= 0 || length <= 0 {
-		return g
-	}
-	n := g.NumNodes()
-	b := graph.NewBuilder(int(g.NumEdges()) + chains*length)
-	g.Edges(func(u, v graph.NodeID) bool {
-		b.AddEdge(u, v)
-		return true
-	})
-	next := n
-	for i := 0; i < chains; i++ {
-		prev := graph.NodeID(rng.IntN(n))
-		for j := 0; j < length; j++ {
-			b.AddEdge(prev, graph.NodeID(next))
-			prev = graph.NodeID(next)
-			next++
-		}
-	}
-	return b.Build()
-}
-
 // WithCliques attaches count cliques of size size to g, each joined
 // to a uniformly random existing node by a single edge. A pendant
 // K_s clique survives trimming up to min degree s−1 and disappears at

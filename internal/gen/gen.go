@@ -99,20 +99,3 @@ func Barbell(k int) *graph.Graph {
 	b.AddEdge(0, graph.NodeID(k))
 	return b.Build()
 }
-
-// Lollipop attaches a path of length tail to a K_k clique.
-func Lollipop(k, tail int) *graph.Graph {
-	b := graph.NewBuilder(k*(k-1)/2 + tail)
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			b.AddEdge(graph.NodeID(i), graph.NodeID(j))
-		}
-	}
-	prev := graph.NodeID(k - 1)
-	for i := 0; i < tail; i++ {
-		next := graph.NodeID(k + i)
-		b.AddEdge(prev, next)
-		prev = next
-	}
-	return b.Build()
-}

@@ -72,29 +72,6 @@ func ErdosRenyiM(n int, m int64, rng *rand.Rand) *graph.Graph {
 	return b.Build()
 }
 
-// RandomRegular samples an (approximately) d-regular graph by the
-// pairing model: d stubs per node matched uniformly; self-loops and
-// duplicate pairs are dropped, so a few nodes may fall short of
-// degree d. For d ≥ 3 the result is connected w.h.p.
-func RandomRegular(n, d int, rng *rand.Rand) *graph.Graph {
-	if n <= 0 || d < 0 {
-		return &graph.Graph{}
-	}
-	stubs := make([]graph.NodeID, 0, n*d)
-	for v := 0; v < n; v++ {
-		for i := 0; i < d; i++ {
-			stubs = append(stubs, graph.NodeID(v))
-		}
-	}
-	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	b := graph.NewBuilder(n * d / 2)
-	b.AddNode(graph.NodeID(n - 1))
-	for i := 0; i+1 < len(stubs); i += 2 {
-		b.AddEdge(stubs[i], stubs[i+1])
-	}
-	return b.Build()
-}
-
 // WattsStrogatz samples the small-world model: a ring lattice where
 // every node connects to its k nearest neighbours on each side, with
 // each edge rewired to a uniform endpoint with probability beta.

@@ -134,17 +134,3 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 	}
 	return b.Build(), nil
 }
-
-// FromAdjacency builds a graph from an adjacency-list representation.
-// The lists may be unsorted and may contain duplicates or self-loops;
-// edges are symmetrized.
-func FromAdjacency(adj [][]NodeID) *Graph {
-	b := NewBuilder(0)
-	for u, vs := range adj {
-		b.AddNode(NodeID(u))
-		for _, v := range vs {
-			b.AddEdge(NodeID(u), v)
-		}
-	}
-	return b.Build()
-}

@@ -1,57 +1,17 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// FromCSR constructs a Graph directly from its CSR arrays, validating
-// every structural invariant (monotone offsets bounded by the
-// adjacency length, sorted loop-free in-range neighbor lists,
-// symmetric edges) before accepting them. It is the trusted entry
-// point for deserialized snapshots: unlike the Builder it performs no
-// re-sorting or deduplication, so a valid snapshot loads in O(m)
-// plus the validation scan, and a corrupt one returns a wrapped
-// error instead of a graph that panics later.
-//
-// The neighbors array is retained, not copied; the caller must not
-// modify it afterwards. The offsets are compacted to the graph's
-// internal uint32 form when the adjacency length fits 32 bits (use
-// FromCSR32 to hand over a compact array without the copy).
-func FromCSR(offsets []int64, neighbors []NodeID) (*Graph, error) {
-	if len(offsets) == 0 {
-		if len(neighbors) != 0 {
-			return nil, fmt.Errorf("graph: CSR with no offsets but %d neighbors", len(neighbors))
-		}
-		return &Graph{}, nil
-	}
-	if len(offsets)-1 > MaxNodes {
-		return nil, fmt.Errorf("graph: CSR node count %d exceeds limit %d", len(offsets)-1, MaxNodes)
-	}
-	for i, o := range offsets {
-		if o < 0 {
-			return nil, fmt.Errorf("graph: invalid CSR: negative offset %d at node %d", o, i)
-		}
-	}
-	g := &Graph{off64: offsets, neighbors: neighbors}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: invalid CSR: %w", err)
-	}
-	if int64(len(neighbors)) <= math.MaxUint32 {
-		off := make([]uint32, len(offsets))
-		for i, o := range offsets {
-			off[i] = uint32(o)
-		}
-		g.off32, g.off64 = off, nil
-	}
-	return g, nil
-}
-
-// FromCSR32 is FromCSR for the compact uint32 offset form: the
-// offsets array is adopted directly (no copy, no widening), so
-// loaders that already hold uint32 offsets — the MIXG readers — pay
-// zero conversion. Both arrays are retained; the caller must not
-// modify them afterwards.
+// FromCSR32 constructs a Graph directly from its CSR arrays in the
+// compact uint32 offset form, validating every structural invariant
+// (monotone offsets bounded by the adjacency length, sorted loop-free
+// in-range neighbor lists, symmetric edges) before accepting them. It
+// is the trusted entry point for deserialized snapshots (the MIXG
+// readers): unlike the Builder it performs no re-sorting or
+// deduplication, so a valid snapshot loads in O(m) plus the
+// validation scan, and a corrupt one returns a wrapped error instead
+// of a graph that panics later. Both arrays are adopted directly (no
+// copy, no widening); the caller must not modify them afterwards.
 func FromCSR32(offsets []uint32, neighbors []NodeID) (*Graph, error) {
 	if len(offsets) == 0 {
 		if len(neighbors) != 0 {
@@ -79,7 +39,7 @@ func CSRSizes(n, m int64) (offsets, neighbors int64) {
 
 // AppendCSR appends the graph's offsets and symmetrized adjacency to
 // the given slices (pass nil to allocate) and returns them. It is the
-// serialization counterpart of FromCSR.
+// serialization counterpart of FromCSR32.
 func (g *Graph) AppendCSR(offsets []int64, neighbors []NodeID) ([]int64, []NodeID) {
 	n := g.NumNodes()
 	offsets = append(offsets, 0)

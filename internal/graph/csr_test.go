@@ -18,7 +18,7 @@ func TestCSRRoundTrip(t *testing.T) {
 		int64(len(neighbors)) != wantAdj {
 		t.Fatalf("CSR sizes = %d/%d, want %d/%d", len(offsets), len(neighbors), wantOff, wantAdj)
 	}
-	back, err := FromCSR(offsets, neighbors)
+	back, err := FromCSR32(narrow(offsets), neighbors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,8 @@ func TestCSRRoundTripRandom(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	back, err := FromCSR(g.AppendCSR(nil, nil))
+	offsets, neighbors := g.AppendCSR(nil, nil)
+	back, err := FromCSR32(narrow(offsets), neighbors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +55,14 @@ func TestCSRRoundTripRandom(t *testing.T) {
 }
 
 func TestFromCSREmpty(t *testing.T) {
-	g, err := FromCSR(nil, nil)
+	g, err := FromCSR32(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NumNodes() != 0 || g.NumEdges() != 0 {
 		t.Fatalf("empty CSR produced %d/%d", g.NumNodes(), g.NumEdges())
 	}
-	if _, err := FromCSR(nil, []NodeID{1}); err == nil {
+	if _, err := FromCSR32(nil, []NodeID{1}); err == nil {
 		t.Fatal("neighbors without offsets accepted")
 	}
 }
@@ -69,18 +70,18 @@ func TestFromCSREmpty(t *testing.T) {
 func TestFromCSRRejectsInvalid(t *testing.T) {
 	cases := []struct {
 		name      string
-		offsets   []int64
+		offsets   []uint32
 		neighbors []NodeID
 		want      string
 	}{
-		{"non-monotone", []int64{0, 2, 1, 2}, []NodeID{1, 2, 0}, "invalid CSR"},
-		{"out-of-range neighbor", []int64{0, 1, 2}, []NodeID{5, 0}, "invalid CSR"},
-		{"asymmetric", []int64{0, 1, 1}, []NodeID{1}, "invalid CSR"},
-		{"self-loop", []int64{0, 1, 2}, []NodeID{0, 1}, "invalid CSR"},
-		{"unsorted adjacency", []int64{0, 2, 3, 4}, []NodeID{2, 1, 0, 0}, "invalid CSR"},
+		{"non-monotone", []uint32{0, 2, 1, 2}, []NodeID{1, 2, 0}, "invalid CSR"},
+		{"out-of-range neighbor", []uint32{0, 1, 2}, []NodeID{5, 0}, "invalid CSR"},
+		{"asymmetric", []uint32{0, 1, 1}, []NodeID{1}, "invalid CSR"},
+		{"self-loop", []uint32{0, 1, 2}, []NodeID{0, 1}, "invalid CSR"},
+		{"unsorted adjacency", []uint32{0, 2, 3, 4}, []NodeID{2, 1, 0, 0}, "invalid CSR"},
 	}
 	for _, c := range cases {
-		if _, err := FromCSR(c.offsets, c.neighbors); err == nil ||
+		if _, err := FromCSR32(c.offsets, c.neighbors); err == nil ||
 			!strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
 		}
@@ -98,4 +99,13 @@ func TestAppendCSRAppends(t *testing.T) {
 	if len(offsets) != 1+g.NumNodes()+1 || int64(len(neighbors)) != 1+2*g.NumEdges() {
 		t.Fatalf("appended lengths %d/%d", len(offsets), len(neighbors))
 	}
+}
+
+// narrow converts AppendCSR's int64 offsets to FromCSR32's form.
+func narrow(offsets []int64) []uint32 {
+	out := make([]uint32, len(offsets))
+	for i, o := range offsets {
+		out[i] = uint32(o)
+	}
+	return out
 }

@@ -139,16 +139,6 @@ func TestFromEdgesRangeCheck(t *testing.T) {
 	}
 }
 
-func TestFromAdjacency(t *testing.T) {
-	g := FromAdjacency([][]NodeID{{1, 2}, {0}, {0}, {}})
-	if g.NumNodes() != 4 || g.NumEdges() != 2 {
-		t.Fatalf("got %v", g)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	b := NewBuilder(0)
 	b.AddEdge(0, 1)
@@ -304,7 +294,7 @@ func TestIsBipartite(t *testing.T) {
 		{"even ring", ring(6), true},
 		{"odd ring", ring(7), false},
 		{"K4", complete(4), false},
-		{"single edge", FromAdjacency([][]NodeID{{1}, {0}}), true},
+		{"single edge", complete(2), true},
 		{"empty", &Graph{}, true},
 	}
 	for _, c := range cases {
@@ -349,30 +339,6 @@ func TestBFSSampleSizeAndConnectivity(t *testing.T) {
 		if !IsConnected(sub) {
 			t.Fatalf("BFS sample k=%d disconnected", k)
 		}
-	}
-}
-
-func TestEccentricityAndDiameter(t *testing.T) {
-	// Path 0-1-2-3: diameter 3; eccentricity of an end is 3, middle 2.
-	b := NewBuilder(0)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(2, 3)
-	g := b.Build()
-	if e := Eccentricity(g, 0); e != 3 {
-		t.Fatalf("ecc(0) = %d", e)
-	}
-	if e := Eccentricity(g, 1); e != 2 {
-		t.Fatalf("ecc(1) = %d", e)
-	}
-	if d := Diameter(g); d != 3 {
-		t.Fatalf("diameter = %d", d)
-	}
-	if d := Diameter(complete(8)); d != 1 {
-		t.Fatalf("K8 diameter = %d", d)
-	}
-	if d := Diameter(ring(10)); d != 5 {
-		t.Fatalf("C10 diameter = %d", d)
 	}
 }
 

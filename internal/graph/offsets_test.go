@@ -17,13 +17,6 @@ func TestCompactOffsetsChosen(t *testing.T) {
 	if len(g.Offsets32()) != g.NumNodes()+1 {
 		t.Fatalf("offsets length %d, want %d", len(g.Offsets32()), g.NumNodes()+1)
 	}
-	back, err := FromCSR(g.AppendCSR(nil, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Offsets32() == nil {
-		t.Fatal("FromCSR did not compact offsets")
-	}
 }
 
 // TestFromCSR32Adopts: the compact constructor must retain the exact
@@ -43,8 +36,8 @@ func TestFromCSR32Adopts(t *testing.T) {
 	}
 }
 
-// TestFromCSR32RejectsInvalid mirrors the FromCSR hardening for the
-// compact path.
+// TestFromCSR32RejectsInvalid: structural faults in a snapshot's
+// arrays are errors, never a graph that panics later.
 func TestFromCSR32RejectsInvalid(t *testing.T) {
 	cases := []struct {
 		name string
@@ -61,14 +54,6 @@ func TestFromCSR32RejectsInvalid(t *testing.T) {
 		if _, err := FromCSR32(c.off, c.adj); err == nil {
 			t.Fatalf("%s: accepted", c.name)
 		}
-	}
-}
-
-// TestFromCSRRejectsNegativeOffset: widening conversions must not
-// smuggle a negative offset into the compact form.
-func TestFromCSRRejectsNegativeOffset(t *testing.T) {
-	if _, err := FromCSR([]int64{0, -1, 2}, []NodeID{1, 0}); err == nil {
-		t.Fatal("negative offset accepted")
 	}
 }
 

@@ -49,29 +49,3 @@ func BFSSample(g *Graph, start NodeID, k int) []NodeID {
 func BFSSubgraph(g *Graph, start NodeID, k int) (*Graph, []NodeID) {
 	return Subgraph(g, BFSSample(g, start, k))
 }
-
-// Eccentricity returns the greatest BFS depth reachable from v within
-// its component.
-func Eccentricity(g *Graph, v NodeID) int {
-	max := 0
-	BFS(g, v, func(_ NodeID, depth int) bool {
-		if depth > max {
-			max = depth
-		}
-		return true
-	})
-	return max
-}
-
-// Diameter returns an exact diameter for the (connected) graph by
-// running a BFS from every node. Intended for small graphs and tests;
-// cost is O(n·m).
-func Diameter(g *Graph) int {
-	max := 0
-	for v := 0; v < g.NumNodes(); v++ {
-		if e := Eccentricity(g, NodeID(v)); e > max {
-			max = e
-		}
-	}
-	return max
-}

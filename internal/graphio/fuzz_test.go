@@ -41,20 +41,6 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
-func FuzzReadArcList(f *testing.F) {
-	fuzzCap(f)
-	f.Add([]byte("# nodes: 4\n0\t1\n1 2\n2\t0\n"))
-	f.Add([]byte("0 1\n-1 2\n"))
-	f.Add([]byte("# nodes: x\n"))
-	f.Add([]byte("7 7\n7 7\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadArcList(bytes.NewReader(data))
-		if err == nil && g == nil {
-			t.Fatal("nil graph without error")
-		}
-	})
-}
-
 func FuzzReadMIXG(f *testing.F) {
 	fuzzCap(f)
 	// Valid v2 and v1 snapshots seed the structured corpus.

@@ -3,17 +3,14 @@ package graphio
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"io"
 	"math/rand/v2"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
 
-	"mixtime/internal/digraph"
 	"mixtime/internal/gen"
 	"mixtime/internal/graph"
 )
@@ -251,14 +248,6 @@ func TestReadEdgeListRejectsOversizedIDs(t *testing.T) {
 		!strings.Contains(err.Error(), "load limit") {
 		t.Fatalf("oversized directive accepted: %v", err)
 	}
-	if _, err := ReadArcList(strings.NewReader("0 100\n")); err == nil ||
-		!strings.Contains(err.Error(), "load limit") {
-		t.Fatalf("oversized arc endpoint accepted: %v", err)
-	}
-	if _, err := ReadArcList(strings.NewReader("# nodes: 101\n")); err == nil ||
-		!strings.Contains(err.Error(), "load limit") {
-		t.Fatalf("oversized arc directive accepted: %v", err)
-	}
 	// IDs at the cap boundary still load.
 	if g, err := ReadEdgeList(strings.NewReader("0 99\n")); err != nil || g.NumNodes() != 100 {
 		t.Fatalf("boundary ID rejected: %v", err)
@@ -313,73 +302,6 @@ func NewTestBuilderWithIsolated() *graph.Builder {
 	b.AddEdge(0, 1)
 	b.AddNode(4)
 	return b
-}
-
-func TestDirectedRoundTrip(t *testing.T) {
-	b := digraph.NewBuilder(0)
-	b.AddArc(0, 1)
-	b.AddArc(1, 2)
-	b.AddArc(2, 0)
-	b.AddArc(0, 2)
-	b.AddNode(5) // trailing isolated
-	dg := b.Build()
-	var buf bytes.Buffer
-	if err := WriteArcList(&buf, dg); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadArcList(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumNodes() != 6 || back.NumArcs() != 4 {
-		t.Fatalf("round trip %v", back)
-	}
-	if !back.HasArc(0, 2) || !back.HasArc(2, 0) || back.HasArc(1, 0) {
-		t.Fatal("arc directions lost")
-	}
-}
-
-func TestLoadDirectedFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "arcs.txt.gz")
-	b := digraph.NewBuilder(0)
-	b.AddArc(3, 7)
-	b.AddArc(7, 3)
-	b.AddArc(1, 2)
-	dg := b.Build()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zw := gzip.NewWriter(f)
-	if err := WriteArcList(zw, dg); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadDirectedFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumArcs() != 3 || !back.HasArc(3, 7) {
-		t.Fatalf("loaded %v", back)
-	}
-	if _, err := LoadDirectedFile(filepath.Join(dir, "missing.txt")); err == nil {
-		t.Fatal("missing file loaded")
-	}
-}
-
-func TestReadArcListErrors(t *testing.T) {
-	if _, err := ReadArcList(strings.NewReader("1\n")); err == nil {
-		t.Fatal("short line accepted")
-	}
-	if _, err := ReadArcList(strings.NewReader("# nodes: x\n")); err == nil {
-		t.Fatal("bad directive accepted")
-	}
 }
 
 // Property: every generated graph survives both round trips intact.

@@ -23,11 +23,6 @@ func TestVectorOps(t *testing.T) {
 	if y[0] != 7 || y[1] != 9 {
 		t.Fatalf("Axpy -> %v", y)
 	}
-	d := make([]float64, 2)
-	Sub(d, []float64{5, 5}, []float64{2, 3})
-	if d[0] != 3 || d[1] != 2 {
-		t.Fatalf("Sub -> %v", d)
-	}
 }
 
 func TestNormalize(t *testing.T) {

@@ -63,13 +63,6 @@ func AxpyDot(a float64, x, y, z []float64) float64 {
 	return s
 }
 
-// Sub computes dst = x - y.
-func Sub(dst, x, y []float64) {
-	for i := range dst {
-		dst[i] = x[i] - y[i]
-	}
-}
-
 // OrthogonalizeAgainst removes from x its component along the unit
 // vector q: x -= (q·x) q.
 func OrthogonalizeAgainst(x, q []float64) {

@@ -251,24 +251,6 @@ func TestMixingTimeDefinition(t *testing.T) {
 	}
 }
 
-func TestMaxAndMeanTrace(t *testing.T) {
-	traces := []*Trace{
-		{TV: []float64{0.4, 0.1}},
-		{TV: []float64{0.2, 0.3}},
-	}
-	mx := MaxTrace(traces)
-	if mx[0] != 0.4 || mx[1] != 0.3 {
-		t.Fatalf("MaxTrace = %v", mx)
-	}
-	mn := MeanTrace(traces)
-	if math.Abs(mn[0]-0.3) > 1e-15 || math.Abs(mn[1]-0.2) > 1e-15 {
-		t.Fatalf("MeanTrace = %v", mn)
-	}
-	if MaxTrace(nil) != nil || MeanTrace(nil) != nil {
-		t.Fatal("empty trace aggregation not nil")
-	}
-}
-
 func TestDistancesAt(t *testing.T) {
 	traces := []*Trace{{TV: []float64{0.4, 0.1}}, {TV: []float64{0.2}}}
 	d := DistancesAt(traces, 2)
@@ -278,24 +260,6 @@ func TestDistancesAt(t *testing.T) {
 	d0 := DistancesAt(traces, 0)
 	if d0[0] != 1 {
 		t.Fatalf("DistancesAt(0) = %v", d0)
-	}
-}
-
-func TestEpsilonGrid(t *testing.T) {
-	grid := EpsilonGrid(1e-4, 0.25, 10)
-	if len(grid) != 10 {
-		t.Fatalf("len = %d", len(grid))
-	}
-	if math.Abs(grid[0]-0.25) > 1e-12 || math.Abs(grid[9]-1e-4) > 1e-12 {
-		t.Fatalf("endpoints %v %v", grid[0], grid[9])
-	}
-	for i := 1; i < len(grid); i++ {
-		if grid[i] >= grid[i-1] {
-			t.Fatal("grid not decreasing")
-		}
-	}
-	if g := EpsilonGrid(0, 0.1, 5); len(g) != 1 {
-		t.Fatalf("degenerate grid %v", g)
 	}
 }
 

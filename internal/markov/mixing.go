@@ -3,7 +3,6 @@ package markov
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"mixtime/internal/graph"
 	"mixtime/internal/telemetry"
@@ -129,70 +128,6 @@ func DistancesAt(traces []*Trace, w int) []float64 {
 	out := make([]float64, len(traces))
 	for i, tr := range traces {
 		out[i] = tr.DistanceAt(w)
-	}
-	return out
-}
-
-// MaxTrace returns the pointwise maximum of the traces' TV curves —
-// the worst-case distance profile max_i ‖π⁽ⁱ⁾Pᵗ − π‖_tv whose first
-// crossing of ε is T(ε).
-func MaxTrace(traces []*Trace) []float64 {
-	if len(traces) == 0 {
-		return nil
-	}
-	maxLen := 0
-	for _, tr := range traces {
-		if len(tr.TV) > maxLen {
-			maxLen = len(tr.TV)
-		}
-	}
-	out := make([]float64, maxLen)
-	for _, tr := range traces {
-		for t := 0; t < maxLen; t++ {
-			if d := tr.DistanceAt(t + 1); d > out[t] {
-				out[t] = d
-			}
-		}
-	}
-	return out
-}
-
-// MeanTrace returns the pointwise mean of the traces' TV curves (the
-// "average mixing" curves of Figure 6b).
-func MeanTrace(traces []*Trace) []float64 {
-	if len(traces) == 0 {
-		return nil
-	}
-	maxLen := 0
-	for _, tr := range traces {
-		if len(tr.TV) > maxLen {
-			maxLen = len(tr.TV)
-		}
-	}
-	out := make([]float64, maxLen)
-	for _, tr := range traces {
-		for t := 0; t < maxLen; t++ {
-			out[t] += tr.DistanceAt(t + 1)
-		}
-	}
-	inv := 1 / float64(len(traces))
-	for t := range out {
-		out[t] *= inv
-	}
-	return out
-}
-
-// EpsilonGrid returns a logarithmically spaced grid of k variation
-// distances from hi down to lo, suitable for the ε axes of the
-// paper's figures.
-func EpsilonGrid(lo, hi float64, k int) []float64 {
-	if k < 2 || lo <= 0 || hi <= lo {
-		return []float64{hi}
-	}
-	out := make([]float64, k)
-	ratio := math.Log(hi / lo)
-	for i := 0; i < k; i++ {
-		out[i] = hi * math.Exp(-ratio*float64(i)/float64(k-1))
 	}
 	return out
 }

@@ -4,10 +4,8 @@
 // cites: SumUp bounds bogus votes by the max-flow between voters and
 // a vote collector, so reproducing it requires a real flow solver.
 //
-// Build a Network with NewNetwork/AddEdge (AddUndirectedEdge for the
-// social-graph case, where capacity applies in both directions), then
-// call MaxFlow once per (s, t) pair; per-edge flows are readable
-// afterwards via Flow and the s-side of a minimum cut via MinCutSide.
+// Build a Network with NewNetwork/AddEdge, then call MaxFlow once per
+// (s, t) pair; per-edge flows are readable afterwards via Flow.
 // Dinic's runs in O(V²E) generally and O(E√V) on the unit-capacity
 // networks SumUp's ticket envelope produces; the level-graph BFS and
 // blocking-flow DFS are iterative, so deep networks cannot overflow
@@ -44,7 +42,7 @@ func (nw *Network) NumNodes() int { return nw.n }
 
 // AddEdge adds a directed edge u→v with the given capacity (and the
 // implicit residual reverse edge of capacity 0). It returns the edge
-// handle for later inspection via ResidualCap/Flow.
+// handle for later inspection via Flow.
 func (nw *Network) AddEdge(u, v int, capacity int64) int {
 	idx := len(nw.edges)
 	nw.heads[u] = append(nw.heads[u], int32(idx))
@@ -54,21 +52,9 @@ func (nw *Network) AddEdge(u, v int, capacity int64) int {
 	return idx
 }
 
-// ResidualCap returns the remaining capacity of the edge handle.
-func (nw *Network) ResidualCap(idx int) int64 { return nw.edges[idx].cap }
-
 // Flow returns the flow pushed through the edge handle (its reverse
 // residual).
 func (nw *Network) Flow(idx int) int64 { return nw.edges[nw.edges[idx].rev].cap }
-
-// AddUndirectedEdge adds capacity in both directions (two directed
-// edges each acting as the other's residual).
-func (nw *Network) AddUndirectedEdge(u, v int, capacity int64) {
-	nw.heads[u] = append(nw.heads[u], int32(len(nw.edges)))
-	nw.edges = append(nw.edges, edge{to: int32(v), cap: capacity, rev: int32(len(nw.edges) + 1)})
-	nw.heads[v] = append(nw.heads[v], int32(len(nw.edges)))
-	nw.edges = append(nw.edges, edge{to: int32(u), cap: capacity, rev: int32(len(nw.edges) - 1)})
-}
 
 // MaxFlow computes the maximum s→t flow by Dinic's algorithm:
 // repeated BFS level graphs with blocking flows found by scaled DFS.
@@ -140,26 +126,6 @@ func (nw *Network) MaxFlow(s, t int) (int64, error) {
 		}
 	}
 	return flow, nil
-}
-
-// MinCutSide returns the source side of a minimum s-t cut after
-// MaxFlow has run: the nodes reachable from s in the residual graph.
-func (nw *Network) MinCutSide(s int) []bool {
-	side := make([]bool, nw.n)
-	queue := []int32{int32(s)}
-	side[s] = true
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, ei := range nw.heads[v] {
-			e := &nw.edges[ei]
-			if e.cap > 0 && !side[e.to] {
-				side[e.to] = true
-				queue = append(queue, e.to)
-			}
-		}
-	}
-	return side
 }
 
 func min64(a, b int64) int64 {

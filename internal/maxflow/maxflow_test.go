@@ -64,10 +64,10 @@ func TestMaxFlowErrors(t *testing.T) {
 func TestUndirectedEdgeFlow(t *testing.T) {
 	// A ring of undirected unit edges: two disjoint paths s→t.
 	nw := NewNetwork(4)
-	nw.AddUndirectedEdge(0, 1, 1)
-	nw.AddUndirectedEdge(1, 2, 1)
-	nw.AddUndirectedEdge(2, 3, 1)
-	nw.AddUndirectedEdge(3, 0, 1)
+	for v := 0; v < 4; v++ { // each undirected edge is two arcs
+		nw.AddEdge(v, (v+1)%4, 1)
+		nw.AddEdge((v+1)%4, v, 1)
+	}
 	f, err := nw.MaxFlow(0, 2)
 	if err != nil || f != 2 {
 		t.Fatalf("ring flow %d err %v", f, err)
@@ -103,7 +103,7 @@ func TestMinCutSide(t *testing.T) {
 	if err != nil || f != 1 {
 		t.Fatalf("flow %d err %v", f, err)
 	}
-	side := nw.MinCutSide(0)
+	side := minCutSide(nw, 0)
 	if !side[0] || !side[1] || side[2] || side[3] {
 		t.Fatalf("cut side %v", side)
 	}
@@ -142,7 +142,7 @@ func TestQuickMaxFlowMinCut(t *testing.T) {
 			return false
 		}
 		// Cut capacity across (S, V∖S) must equal the flow.
-		side := nw.MinCutSide(0)
+		side := minCutSide(nw, 0)
 		if side[n-1] {
 			return false // sink must be separated
 		}
@@ -157,4 +157,24 @@ func TestQuickMaxFlowMinCut(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// minCutSide returns the source side of a minimum s-t cut after
+// MaxFlow has run: the nodes reachable from s in the residual graph.
+func minCutSide(nw *Network, s int) []bool {
+	side := make([]bool, nw.n)
+	queue := []int32{int32(s)}
+	side[s] = true
+	for len(queue) > 0 {
+		v := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		for _, ei := range nw.heads[v] {
+			e := &nw.edges[ei]
+			if e.cap > 0 && !side[e.to] {
+				side[e.to] = true
+				queue = append(queue, e.to)
+			}
+		}
+	}
+	return side
 }

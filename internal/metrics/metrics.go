@@ -84,8 +84,7 @@ func LocalClustering(g *graph.Graph, v graph.NodeID) float64 {
 }
 
 // AverageClustering returns the mean local clustering coefficient
-// (Watts–Strogatz definition) over all vertices. O(Σ d²·log d); use
-// SampledClustering on large graphs.
+// (Watts–Strogatz definition) over all vertices. O(Σ d²·log d).
 func AverageClustering(g *graph.Graph) float64 {
 	n := g.NumNodes()
 	if n == 0 {
@@ -96,23 +95,6 @@ func AverageClustering(g *graph.Graph) float64 {
 		sum += LocalClustering(g, graph.NodeID(v))
 	}
 	return sum / float64(n)
-}
-
-// SampledClustering estimates AverageClustering from k uniformly
-// sampled vertices.
-func SampledClustering(g *graph.Graph, k int, rng *rand.Rand) float64 {
-	n := g.NumNodes()
-	if n == 0 || k <= 0 {
-		return 0
-	}
-	if k > n {
-		k = n
-	}
-	var sum float64
-	for i := 0; i < k; i++ {
-		sum += LocalClustering(g, graph.NodeID(rng.IntN(n)))
-	}
-	return sum / float64(k)
 }
 
 // GlobalClustering returns the transitivity: 3×triangles / wedges.

@@ -63,18 +63,6 @@ func TestCavemanClustersMoreThanER(t *testing.T) {
 	}
 }
 
-func TestSampledClusteringApproximatesExact(t *testing.T) {
-	g := gen.WattsStrogatz(400, 4, 0.1, rng(3))
-	exact := AverageClustering(g)
-	approx := SampledClustering(g, 400, rng(4)) // with replacement, full-size sample
-	if math.Abs(exact-approx) > 0.08 {
-		t.Fatalf("exact %v vs sampled %v", exact, approx)
-	}
-	if SampledClustering(g, 0, rng(4)) != 0 {
-		t.Fatal("k=0 sample")
-	}
-}
-
 func TestAssortativitySign(t *testing.T) {
 	// Star: ends of every edge have degrees (n, 1) — perfectly
 	// disassortative.

@@ -18,9 +18,9 @@ type Config struct {
 	// recorded scale per run).
 	Scale float64
 	// Seed makes runs deterministic. Zero is a valid seed: defaults
-	// never overwrite it (use DefaultConfig for the conventional
-	// seed 1). Experiments derive all their random streams from Seed
-	// alone, so results are independent of scheduling order.
+	// never overwrite it (the CLIs' -seed flags start from
+	// api.DefaultSeed). Experiments derive all their random streams
+	// from Seed alone, so results are independent of scheduling order.
 	Seed uint64
 	// Sources is the number of start vertices for direct measurements
 	// (default api.DefaultSources; the paper uses 1000 on large graphs
@@ -45,10 +45,10 @@ type Config struct {
 	// MaxAttempts is each experiment's attempt budget: a failing
 	// experiment (panic, per-attempt timeout, transient error) is
 	// retried until it succeeds or the budget is spent. 0 and 1 both
-	// mean a single attempt, i.e. no retries; fatal failures (run
-	// cancellation, errors marked runner.Fatal) never retry. Retries
-	// re-run the driver from the same Config, so a retried success is
-	// byte-identical to a first-attempt success.
+	// mean a single attempt, i.e. no retries; run cancellation is
+	// fatal and never retries. Retries re-run the driver from the same
+	// Config, so a retried success is byte-identical to a first-attempt
+	// success.
 	MaxAttempts int
 	// RetryBackoff is the sleep before the second attempt; it doubles
 	// for each further retry and aborts early when the run is
@@ -68,20 +68,6 @@ type Config struct {
 	// whole run. Telemetry never changes experiment output: results
 	// are byte-identical with or without a collector.
 	Collector *telemetry.Collector
-}
-
-// DefaultConfig returns the canonical configuration, including the
-// conventional Seed 1. This is the only place the default seed is
-// applied; WithDefaults leaves Seed untouched.
-func DefaultConfig() Config {
-	return Config{
-		Scale:       api.DefaultScale,
-		Seed:        api.DefaultSeed,
-		Sources:     api.DefaultSources,
-		MaxWalk:     api.DefaultMaxWalk,
-		SpectralTol: api.DefaultSpectralTol,
-		BlockSize:   api.DefaultBlockSize,
-	}
 }
 
 // WithDefaults fills unset (zero or negative) fields with the

@@ -36,8 +36,8 @@ const (
 	// driver errors) are eligible for another attempt while the retry
 	// budget lasts.
 	ClassRetryable FailureClass = iota
-	// ClassFatal failures (run cancellation, validation errors marked
-	// with Fatal) stop the attempt loop immediately.
+	// ClassFatal failures (run cancellation) stop the attempt loop
+	// immediately.
 	ClassFatal
 )
 
@@ -49,29 +49,12 @@ func (c FailureClass) String() string {
 	return "retryable"
 }
 
-// fatalError marks an error as not worth retrying.
-type fatalError struct{ err error }
-
-func (e *fatalError) Error() string { return e.err.Error() }
-func (e *fatalError) Unwrap() error { return e.err }
-
-// Fatal marks err as fatal: the attempt loop will not retry it.
-// Drivers wrap validation errors (bad config, unknown dataset) this
-// way, since re-running cannot fix them. A nil err stays nil.
-func Fatal(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &fatalError{err: err}
-}
-
 // ClassifyFailure classifies an attempt failure. Run cancellation
-// (context.Canceled) and errors marked with Fatal are fatal; panics,
-// per-attempt deadline hits and everything else (transient I/O, a
-// truncated download) are retryable.
+// (context.Canceled) is fatal; panics, per-attempt deadline hits and
+// everything else (transient I/O, a truncated download) are
+// retryable.
 func ClassifyFailure(err error) FailureClass {
-	var fe *fatalError
-	if errors.Is(err, context.Canceled) || errors.As(err, &fe) {
+	if errors.Is(err, context.Canceled) {
 		return ClassFatal
 	}
 	return ClassRetryable

@@ -183,23 +183,6 @@ func TestRetriesExhaustedReportsLastError(t *testing.T) {
 	}
 }
 
-func TestFatalErrorNotRetried(t *testing.T) {
-	var calls atomic.Int32
-	reg := NewRegistry()
-	reg.MustRegister(Def{ID: "BAD", Run: func(ctx context.Context, cfg Config, obs Observer) (Result, error) {
-		calls.Add(1)
-		return nil, Fatal(errors.New("bad config"))
-	}})
-	r := &Runner{Registry: reg}
-	report, _ := r.Run(context.Background(), Config{MaxAttempts: 5, RetryBackoff: time.Millisecond})
-	if n := calls.Load(); n != 1 {
-		t.Errorf("fatal error retried: %d calls", n)
-	}
-	if report.Experiments[0].Attempts != 1 {
-		t.Errorf("Attempts = %d, want 1", report.Experiments[0].Attempts)
-	}
-}
-
 func TestPerExperimentTimeoutDoesNotCancelRun(t *testing.T) {
 	reg := NewRegistry()
 	reg.MustRegister(Def{ID: "HUNG", Run: func(ctx context.Context, cfg Config, obs Observer) (Result, error) {
@@ -290,19 +273,11 @@ func TestClassifyFailure(t *testing.T) {
 		{"wrapped deadline", fmt.Errorf("t: %w", context.DeadlineExceeded), ClassRetryable},
 		{"cancelled", context.Canceled, ClassFatal},
 		{"wrapped cancelled", fmt.Errorf("c: %w", context.Canceled), ClassFatal},
-		{"fatal-marked", Fatal(errors.New("validation")), ClassFatal},
-		{"wrapped fatal", fmt.Errorf("f: %w", Fatal(errors.New("v"))), ClassFatal},
 	}
 	for _, c := range cases {
 		if got := ClassifyFailure(c.err); got != c.want {
 			t.Errorf("ClassifyFailure(%s) = %v, want %v", c.name, got, c.want)
 		}
-	}
-	if Fatal(nil) != nil {
-		t.Error("Fatal(nil) != nil")
-	}
-	if !errors.Is(Fatal(context.DeadlineExceeded), context.DeadlineExceeded) {
-		t.Error("Fatal does not unwrap")
 	}
 }
 

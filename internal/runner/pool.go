@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 )
 
 // Pool is a context-aware bounded-concurrency gate: at most Size
@@ -17,7 +16,6 @@ import (
 // thundering herd of goroutines.
 type Pool struct {
 	slots chan struct{}
-	inUse atomic.Int64
 }
 
 // NewPool returns a pool with n slots (n <= 0 means GOMAXPROCS).
@@ -31,15 +29,11 @@ func NewPool(n int) *Pool {
 // Size returns the slot bound.
 func (p *Pool) Size() int { return cap(p.slots) }
 
-// InUse returns the number of currently held slots.
-func (p *Pool) InUse() int { return int(p.inUse.Load()) }
-
 // Acquire blocks until a slot frees or ctx dies; the caller must
 // Release exactly once per successful Acquire.
 func (p *Pool) Acquire(ctx context.Context) error {
 	select {
 	case p.slots <- struct{}{}:
-		p.inUse.Add(1)
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("runner: pool acquire: %w", ctx.Err())
@@ -51,7 +45,6 @@ func (p *Pool) Acquire(ctx context.Context) error {
 func (p *Pool) TryAcquire() bool {
 	select {
 	case p.slots <- struct{}{}:
-		p.inUse.Add(1)
 		return true
 	default:
 		return false
@@ -60,7 +53,6 @@ func (p *Pool) TryAcquire() bool {
 
 // Release frees a slot taken by Acquire or TryAcquire.
 func (p *Pool) Release() {
-	p.inUse.Add(-1)
 	<-p.slots
 }
 

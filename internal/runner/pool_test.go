@@ -39,8 +39,10 @@ func TestPoolBound(t *testing.T) {
 	if got := peak.Load(); got > slots {
 		t.Errorf("observed %d concurrent holders, pool bound is %d", got, slots)
 	}
-	if p.InUse() != 0 {
-		t.Errorf("InUse = %d after all work done, want 0", p.InUse())
+	for i := 0; i < slots; i++ {
+		if !p.TryAcquire() {
+			t.Fatalf("slot %d still held after all work done", i)
+		}
 	}
 }
 

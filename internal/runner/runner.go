@@ -136,9 +136,6 @@ var defaultRegistry = NewRegistry()
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
 
-// Register adds d to the default registry.
-func Register(d Def) error { return defaultRegistry.Register(d) }
-
 // MustRegister adds d to the default registry, panicking on error.
 func MustRegister(d Def) { defaultRegistry.MustRegister(d) }
 

@@ -239,9 +239,6 @@ func TestConfigWithDefaultsLeavesSeedAlone(t *testing.T) {
 	if got != want {
 		t.Errorf("Config{}.WithDefaults() = %+v, want %+v", got, want)
 	}
-	if s := DefaultConfig().Seed; s != api.DefaultSeed {
-		t.Errorf("DefaultConfig().Seed = %d, want %d", s, api.DefaultSeed)
-	}
 	// Explicit settings survive.
 	cfg := Config{Scale: 0.5, Seed: 42, Sources: 7, MaxWalk: 9, SpectralTol: 1e-3,
 		BlockSize: 16, Workers: 3}

@@ -87,6 +87,25 @@ var errOverload = errors.New("service: overloaded")
 // buys nothing.
 const retryAfter = "1"
 
+// Request-body caps, far above any legitimate query (a few hundred
+// bytes) or mutation batch, so one client cannot make the daemon
+// buffer an unbounded eps_list or insert array before Validate runs.
+// A body past its cap is answered 413.
+const (
+	maxQueryBody  = 1 << 20
+	maxMutateBody = 16 << 20
+)
+
+// bodyStatus is the status for a request-body decode error: 413 when
+// the body passed its cap, 400 otherwise.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // Server answers mixing-time queries over a fixed graph registry. It
 // is constructed once (New), serves via Handler, and is torn down
 // with Drain: new requests are rejected while in-flight ones finish.
@@ -259,8 +278,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	started := time.Now()
 	var req api.Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, req, fmt.Errorf("service: bad request body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
+		s.fail(w, bodyStatus(err), req, fmt.Errorf("service: bad request body: %w", err))
 		return
 	}
 	if err := req.Validate(); err != nil {
@@ -395,8 +414,8 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 
 	var req api.MutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.mutateFail(w, http.StatusBadRequest, req.Graph, fmt.Errorf("service: bad mutate body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMutateBody)).Decode(&req); err != nil {
+		s.mutateFail(w, bodyStatus(err), req.Graph, fmt.Errorf("service: bad mutate body: %w", err))
 		return
 	}
 	if err := req.Validate(); err != nil {

@@ -334,3 +334,34 @@ func TestDrainRejectsNewRequests(t *testing.T) {
 		t.Fatalf("query while draining: err = %v, want 503", err)
 	}
 }
+
+// TestOversizedBodiesRejected: a query or mutation body past its cap
+// is answered 413 with the error envelope, and the daemon goes on
+// answering ordinary queries.
+func TestOversizedBodiesRejected(t *testing.T) {
+	_, ts, c := newTestServer(t)
+	for _, tc := range []struct {
+		path  string
+		limit int
+	}{{"/v1/query", maxQueryBody}, {"/v1/mutate", maxMutateBody}} {
+		body := `{"graph":"` + strings.Repeat("x", tc.limit) + `"}`
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		var env struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil ||
+			!strings.Contains(env.Error, "too large") {
+			t.Fatalf("%s: status %d, envelope %+v (%v), want 413 naming the limit",
+				tc.path, resp.StatusCode, env, err)
+		}
+	}
+	resp, err := c.Query(context.Background(), api.Request{Op: api.OpSLEM, Graph: "physics-1", Params: tinyParams()})
+	if err != nil || resp.SLEM == nil {
+		t.Fatalf("query after oversized bodies: %+v, %v", resp, err)
+	}
+}

@@ -265,21 +265,6 @@ func (op *Operator) Deflate(x []float64) {
 	linalg.OrthogonalizeAgainst(x, op.v1)
 }
 
-// WalkMatrix materializes the dense transition matrix P = D⁻¹A.
-// Exponential in memory (n²); intended for tests and small graphs.
-func WalkMatrix(g *graph.Graph) [][]float64 {
-	n := g.NumNodes()
-	p := make([][]float64, n)
-	for v := 0; v < n; v++ {
-		p[v] = make([]float64, n)
-		d := float64(g.Degree(graph.NodeID(v)))
-		for _, u := range g.Neighbors(graph.NodeID(v)) {
-			p[v][u] = 1 / d
-		}
-	}
-	return p
-}
-
 // DenseSpectrum computes the full spectrum of P via a dense Jacobi
 // eigensolve of the similar symmetric S. O(n³); the validation oracle
 // for the sparse estimators. Eigenvalues are returned ascending.

@@ -525,22 +525,6 @@ func TestCheegerBounds(t *testing.T) {
 	}
 }
 
-func TestConductanceOf(t *testing.T) {
-	g := barbell(5)
-	inS := make([]bool, g.NumNodes())
-	for i := 0; i < 5; i++ {
-		inS[i] = true
-	}
-	// Left clique: vol = 5·4 + 1 = 21, one crossing edge.
-	phi := ConductanceOf(g, inS)
-	if math.Abs(phi-1.0/21) > 1e-12 {
-		t.Fatalf("Φ = %v, want 1/21", phi)
-	}
-	if !math.IsInf(ConductanceOf(g, make([]bool, g.NumNodes())), 1) {
-		t.Fatal("empty set conductance not Inf")
-	}
-}
-
 func TestSweepCutFindsBarbellBridge(t *testing.T) {
 	g := barbell(8)
 	cut, est, err := SweepConductanceContext(context.Background(), g, Options{Tol: 1e-9})
@@ -558,9 +542,9 @@ func TestSweepCutFindsBarbellBridge(t *testing.T) {
 	if cut.Conductance < lo-1e-9 || cut.Conductance > hi+1e-9 {
 		t.Fatalf("Φ = %v outside Cheeger [%v, %v]", cut.Conductance, lo, hi)
 	}
-	// The returned conductance must match a recomputation.
-	if got := ConductanceOf(g, cut.InS); math.Abs(got-cut.Conductance) > 1e-12 {
-		t.Fatalf("reported Φ %v, recomputed %v", cut.Conductance, got)
+	// One clique: vol = 8·7 + 1 = 57 on each side, one crossing edge.
+	if math.Abs(cut.Conductance-1.0/57) > 1e-12 {
+		t.Fatalf("reported Φ %v, want 1/57", cut.Conductance)
 	}
 }
 
@@ -582,20 +566,6 @@ func TestQuickSweepCheeger(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWalkMatrixRowStochastic(t *testing.T) {
-	g := connectedRandom(20, 15, 4)
-	p := WalkMatrix(g)
-	for v := range p {
-		var s float64
-		for _, x := range p[v] {
-			s += x
-		}
-		if math.Abs(s-1) > 1e-12 {
-			t.Fatalf("row %d sums to %v", v, s)
-		}
 	}
 }
 

@@ -21,33 +21,6 @@ type Cut struct {
 	Conductance float64
 }
 
-// ConductanceOf computes the conductance of the vertex set marked by
-// inS. Returns +Inf for the empty or full set.
-func ConductanceOf(g *graph.Graph, inS []bool) float64 {
-	var volS, volAll, cross int64
-	for v := 0; v < g.NumNodes(); v++ {
-		d := int64(g.Degree(graph.NodeID(v)))
-		volAll += d
-		if !inS[v] {
-			continue
-		}
-		volS += d
-		for _, u := range g.Neighbors(graph.NodeID(v)) {
-			if !inS[u] {
-				cross++
-			}
-		}
-	}
-	minVol := volS
-	if volAll-volS < minVol {
-		minVol = volAll - volS
-	}
-	if minVol == 0 {
-		return math.Inf(1)
-	}
-	return float64(cross) / float64(minVol)
-}
-
 // SweepCut performs the classical spectral sweep: order vertices by
 // score[v]/√deg(v) (turning the S-basis eigenvector estimate back
 // into the walk basis), then scan prefixes S_k and return the prefix

@@ -63,14 +63,3 @@ func NewWeightedOperator(g *graph.Graph, weights []float64) (*Operator, error) {
 	op.adjLen = slots
 	return op, nil
 }
-
-// Strengths exposes the operator's node strengths π-proportions for
-// callers that need the weighted stationary distribution: π_v is
-// v1[v]² .
-func (op *Operator) Strengths() []float64 {
-	out := make([]float64, len(op.v1))
-	for i, v := range op.v1 {
-		out[i] = v * v
-	}
-	return out
-}

@@ -60,13 +60,12 @@ func TestUniformWeightsMatchUnweighted(t *testing.T) {
 	if math.Abs(weighted.Mu-plain.Mu) > 1e-7 {
 		t.Fatalf("weighted µ=%v vs plain µ=%v", weighted.Mu, plain.Mu)
 	}
-	// Both ops expose the same stationary distribution (deg/2m).
-	s := op.Strengths()
+	// Both ops have the same stationary distribution (deg/2m): π_v is v1[v]².
 	twoM := float64(2 * g.NumEdges())
 	for v := 0; v < g.NumNodes(); v++ {
 		want := float64(g.Degree(graph.NodeID(v))) / twoM
-		if math.Abs(s[v]-want) > 1e-12 {
-			t.Fatalf("strength π[%d]=%v want %v", v, s[v], want)
+		if pi := op.v1[v] * op.v1[v]; math.Abs(pi-want) > 1e-12 {
+			t.Fatalf("strength π[%d]=%v want %v", v, pi, want)
 		}
 	}
 	if op.Graph() != g {

@@ -65,15 +65,6 @@ func NewCDF(values []float64) *CDF {
 // Len returns the sample size.
 func (c *CDF) Len() int { return len(c.sorted) }
 
-// At returns the fraction of the sample ≤ x.
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	idx := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(c.sorted))
-}
-
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) with linear
 // interpolation between order statistics.
 func (c *CDF) Quantile(q float64) float64 {
@@ -166,58 +157,6 @@ func PercentileBands(values []float64) Bands {
 		Median20: seg(mid-width, mid+width),
 		Low10:    seg(n-tenth, n),
 	}
-}
-
-// GeoMean returns the geometric mean of positive values, ignoring
-// non-positive entries.
-func GeoMean(values []float64) float64 {
-	var sum float64
-	count := 0
-	for _, v := range values {
-		if v > 0 {
-			sum += math.Log(v)
-			count++
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(count))
-}
-
-// Histogram bins values into k equal-width buckets over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-}
-
-// NewHistogram builds a k-bucket histogram of values.
-func NewHistogram(values []float64, k int) *Histogram {
-	h := &Histogram{Counts: make([]int, k)}
-	if len(values) == 0 || k == 0 {
-		return h
-	}
-	h.Min, h.Max = math.Inf(1), math.Inf(-1)
-	for _, v := range values {
-		if v < h.Min {
-			h.Min = v
-		}
-		if v > h.Max {
-			h.Max = v
-		}
-	}
-	span := h.Max - h.Min
-	for _, v := range values {
-		idx := 0
-		if span > 0 {
-			idx = int(float64(k) * (v - h.Min) / span)
-			if idx >= k {
-				idx = k - 1
-			}
-		}
-		h.Counts[idx]++
-	}
-	return h
 }
 
 func max(a, b int) int {

@@ -416,11 +416,6 @@ func (s Snapshot) Get(ctr Counter) int64 { return s.Counters[ctr.String()] }
 // GetGauge returns the named gauge value (0 when never observed).
 func (s Snapshot) GetGauge(g Gauge) int64 { return s.Gauges[g.String()] }
 
-// IsZero reports whether the snapshot recorded nothing.
-func (s Snapshot) IsZero() bool {
-	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Timers) == 0
-}
-
 // rows returns the snapshot as ordered (key, value) pairs: counters
 // in taxonomy order, then gauges, then timers by stage name. The
 // stable order is what makes Render and CSV deterministic.

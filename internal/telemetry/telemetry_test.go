@@ -21,7 +21,7 @@ func TestNilCollectorIsSafe(t *testing.T) {
 		t.Fatalf("nil collector Count = %d, want 0", got)
 	}
 	s := c.Snapshot()
-	if !s.IsZero() {
+	if len(s.Counters)+len(s.Gauges)+len(s.Timers) != 0 {
 		t.Fatalf("nil collector snapshot not zero: %+v", s)
 	}
 }
@@ -220,7 +220,7 @@ func TestReset(t *testing.T) {
 	c.ObserveMax(MaxGraphAdjacency, 5)
 	c.addTime("x", time.Second)
 	c.Reset()
-	if s := c.Snapshot(); !s.IsZero() {
+	if s := c.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Timers) != 0 {
 		t.Fatalf("after Reset snapshot = %+v, want zero", s)
 	}
 }

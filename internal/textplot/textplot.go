@@ -3,7 +3,7 @@
 // figures directly in a terminal without any plotting dependency.
 //
 // Chart plots one or more Series into a fixed-size rune grid with
-// distinct per-series glyphs, linear or logarithmic axes, and a
+// distinct per-series glyphs, a linear or logarithmic y axis, and a
 // legend — enough to reproduce the shape of the paper's
 // ε-vs-walk-length curves (Figures 1–2) and CDFs (Figures 3–4).
 // Table lays out rows with per-column alignment for the Table-1 style
@@ -35,9 +35,9 @@ type Options struct {
 	// Width and Height are the plot area size in characters
 	// (default 72×20).
 	Width, Height int
-	// LogX / LogY select logarithmic axes; non-positive values are
+	// LogY selects a logarithmic y axis; non-positive values are
 	// dropped.
-	LogX, LogY bool
+	LogY bool
 }
 
 func (o Options) withDefaults() Options {
@@ -53,11 +53,7 @@ func (o Options) withDefaults() Options {
 // Chart renders the series into a multi-line string.
 func Chart(opt Options, series ...Series) string {
 	opt = opt.withDefaults()
-	tx := func(v float64) (float64, bool) { return v, true }
-	ty := tx
-	if opt.LogX {
-		tx = logT
-	}
+	ty := func(v float64) (float64, bool) { return v, true }
 	if opt.LogY {
 		ty = logT
 	}
@@ -66,10 +62,9 @@ func Chart(opt Options, series ...Series) string {
 	minY, maxY := math.Inf(1), math.Inf(-1)
 	any := false
 	for _, s := range series {
-		for i := range s.X {
-			x, okx := tx(s.X[i])
-			y, oky := ty(s.Y[i])
-			if !okx || !oky || math.IsInf(y, 0) || math.IsNaN(y) {
+		for i, x := range s.X {
+			y, ok := ty(s.Y[i])
+			if !ok || math.IsInf(y, 0) || math.IsNaN(y) {
 				continue
 			}
 			any = true
@@ -94,10 +89,9 @@ func Chart(opt Options, series ...Series) string {
 	}
 	for si, s := range series {
 		mark := markers[si%len(markers)]
-		for i := range s.X {
-			x, okx := tx(s.X[i])
-			y, oky := ty(s.Y[i])
-			if !okx || !oky || math.IsInf(y, 0) || math.IsNaN(y) {
+		for i, x := range s.X {
+			y, ok := ty(s.Y[i])
+			if !ok || math.IsInf(y, 0) || math.IsNaN(y) {
 				continue
 			}
 			col := int(float64(w-1) * (x - minX) / (maxX - minX))
@@ -128,7 +122,7 @@ func Chart(opt Options, series ...Series) string {
 		fmt.Fprintf(&b, "%s |%s|\n", label, row)
 	}
 	fmt.Fprintf(&b, "%10s +%s+\n", "", strings.Repeat("-", w))
-	xHi, xLo := invLabel(maxX, opt.LogX), invLabel(minX, opt.LogX)
+	xHi, xLo := fmt.Sprintf("%.3g", maxX), fmt.Sprintf("%.3g", minX)
 	pad := w - len(xLo) - len(xHi)
 	if pad < 1 {
 		pad = 1

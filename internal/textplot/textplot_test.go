@@ -26,7 +26,7 @@ func TestChartBasics(t *testing.T) {
 }
 
 func TestChartLogAxesDropNonPositive(t *testing.T) {
-	out := Chart(Options{LogY: true, LogX: true},
+	out := Chart(Options{LogY: true},
 		Series{Name: "s", X: []float64{0, 1, 10, 100}, Y: []float64{-1, 0.1, 0.01, 0.001}})
 	if !strings.Contains(out, "s") {
 		t.Fatal("series missing")

@@ -5,8 +5,9 @@
 // entering a node along the same edge continue identically) and
 // back-traceable (the slot maps are bijections).
 //
-// Random and Tail cover the plain-walk needs of the defenses and the
-// Whānau tail-distribution experiments. Routes come in two storage
+// Endpoint and Endpoints cover the plain-walk needs of SybilInfer and
+// the Whānau experiments; Random, which returns the whole trajectory,
+// is the reference their tests hold them to. Routes come in two storage
 // strategies with identical outputs: materialized permutations (an
 // O(m) table per instance, fastest to traverse) and PRF-lazy
 // permutations derived per (node, instance) from a keyed SplitMix64,
@@ -91,31 +92,6 @@ func Endpoints(g *graph.Graph, start graph.NodeID, lengths []int, rng *rand.Rand
 		}
 		ends[k] = cur
 	}
-}
-
-// Tail returns the last directed edge of a plain random walk of
-// length ≥ 1. Same fastrand stream discipline as Random.
-func Tail(g *graph.Graph, start graph.NodeID, length int, rng *rand.Rand) DirectedEdge {
-	if length < 1 {
-		length = 1
-	}
-	pr := fastrand.FromRand(rng)
-	prev, cur := start, start
-	if off := g.Offsets32(); off != nil {
-		adj := g.Adjacency()
-		for i := 0; i < length; i++ {
-			o := off[cur]
-			prev = cur
-			cur = adj[o+pr.Uint32n(off[cur+1]-o)]
-		}
-		return DirectedEdge{From: prev, To: cur}
-	}
-	for i := 0; i < length; i++ {
-		adj := g.Neighbors(cur)
-		prev = cur
-		cur = adj[pr.IntN(len(adj))]
-	}
-	return DirectedEdge{From: prev, To: cur}
 }
 
 // splitmix64 is the standard 64-bit finalizer-based PRNG step; used
@@ -257,11 +233,4 @@ func RouteTrace(r Router, start graph.NodeID, firstSlot, w int) []graph.NodeID {
 		traj = append(traj, at)
 	}
 	return traj
-}
-
-// RandomRoute walks a route with a uniformly random first hop — the
-// verifier/suspect behaviour in SybilLimit — and returns its tail.
-func RandomRoute(r Router, start graph.NodeID, w int, rng *rand.Rand) DirectedEdge {
-	d := r.Graph().Degree(start)
-	return Route(r, start, rng.IntN(d), w)
 }

@@ -1,7 +1,9 @@
 #!/bin/sh
 # check.sh — the pre-merge gate: formatting, vet (native and a
-# darwin/arm64 cross-build), package-doc presence, the full test suite
-# under the race detector, the perfbench module's vet and tests,
+# darwin/arm64 cross-build), the full test suite under the race
+# detector (which includes the repository lints in
+# scripts/deadcode_test.go: the dead-code gate over internal/ and the
+# package-doc rule), the perfbench module's vet and tests,
 # byte-identical regeneration of the SLEM, physics and Whanau artifacts in
 # results/, and (when at least two BENCH_*.json snapshots exist) the
 # kernel benchmark regression diff. Run from anywhere inside the repo.
@@ -27,35 +29,6 @@ echo "== cross-build vet (darwin/arm64) =="
 # keeps both compiling.
 GOOS=darwin GOARCH=arm64 go vet ./...
 
-echo "== package docs =="
-# Every package must carry a doc comment: some non-test file whose
-# `package` clause is immediately preceded by a comment line. Build
-# tags don't false-positive — gofmt keeps a blank line between
-# //go:build and the package clause.
-missing=""
-for dir in $(go list -f '{{.Dir}}' ./...); do
-	ok=0
-	for f in "$dir"/*.go; do
-		case "$f" in
-		*_test.go) continue ;;
-		esac
-		if awk '/^package /{ if (prev ~ /^\/\// || prev ~ /\*\/[[:space:]]*$/) found=1; exit } { prev=$0 } END{ exit !found }' "$f"; then
-			ok=1
-			break
-		fi
-	done
-	if [ "$ok" -ne 1 ]; then
-		missing="$missing $dir"
-	fi
-done
-if [ -n "$missing" ]; then
-	echo "packages missing a doc comment:" >&2
-	for dir in $missing; do
-		echo "  $dir" >&2
-	done
-	exit 1
-fi
-
 echo "== go test -race =="
 go test -race ./...
 
@@ -72,11 +45,13 @@ echo "== fault-tolerance race gate =="
 go test -race -count=1 ./internal/runner ./internal/telemetry ./internal/checkpoint \
 	./internal/api ./internal/service ./internal/distmix ./internal/evolve ./internal/faults
 
-echo "== graphio fuzz corpus =="
+echo "== fuzz corpus =="
 # Execute the seed corpus of every fuzz target (no fuzzing engine —
-# deterministic and fast). Longer exploration:
+# deterministic and fast): the graphio readers and the query decoder.
+# Longer exploration:
 #   go test -fuzz=FuzzReadMIXG -fuzztime=30s ./internal/graphio
-go test -run='^Fuzz' ./internal/graphio
+#   go test -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/api
+go test -run='^Fuzz' ./internal/graphio ./internal/api
 
 echo "== SLEM, physics and Whanau artifacts =="
 # The seven committed artifacts whose rows come from a SLEM solve
