@@ -91,25 +91,3 @@ func BenchmarkLazyVsPlainChain(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkRoutePermutations(b *testing.B) {
-	g := ablationGraph()
-	for _, lazy := range []bool{false, true} {
-		name := "materialized"
-		if lazy {
-			name = "prf-lazy"
-		}
-		b.Run(name, func(b *testing.B) {
-			p, err := mixtime.NewSybilLimit(g, mixtime.SybilLimitConfig{
-				W: 10, R: 40, Seed: 1, Lazy: lazy})
-			if err != nil {
-				b.Fatal(err)
-			}
-			suspects := mixtime.AllHonest(g, 0)[:500]
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Verify(0, suspects)
-			}
-		})
-	}
-}

@@ -48,6 +48,7 @@ import (
 	"mixtime/internal/checkpoint"
 	"mixtime/internal/cliutil"
 	_ "mixtime/internal/experiments" // registers the experiment drivers
+	"mixtime/internal/faults"
 	"mixtime/internal/runner"
 	"mixtime/internal/telemetry"
 )
@@ -72,7 +73,7 @@ func run() int {
 	expTimeout := flag.Duration("exp-timeout", 0, "per-experiment attempt deadline (fails the attempt, not the run; 0 = none)")
 	checkpointDir := flag.String("checkpoint", "", "directory persisting each completed experiment's artifacts")
 	resume := flag.Bool("resume", false, "with -checkpoint: replay completed experiments whose config fingerprint matches")
-	injectSpec := flag.String("inject", "", "(testing) inject faults: id:panic|hang|fail[:n]")
+	injectSpec := flag.String("inject", "", `(testing) arm deterministic fault injection on every attempt, e.g. "seed=7,panic=1:1,latency=40ms" (see internal/faults)`)
 	csvDir := flag.String("csv", "", "directory to write <id>.csv files")
 	jsonDir := flag.String("json", "", "directory to write <id>.json files")
 	quiet := flag.Bool("q", false, "suppress per-event progress on stderr")
@@ -93,10 +94,15 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "paperfigs: -resume requires -checkpoint DIR")
 		return 2
 	}
-	inject, err := parseInject(*injectSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paperfigs:", err)
-		return 2
+	var injector *faults.Injector
+	if *injectSpec != "" {
+		in, err := faults.Parse(*injectSpec)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "paperfigs:", err)
+			return 2
+		}
+		injector = in
+		fmt.Fprintf(os.Stderr, "paperfigs: fault injection armed (%s)\n", injector)
 	}
 
 	stopProfiles, err := cliutil.StartProfiles(*cpuProfile, *memProfile, *traceFile)
@@ -206,10 +212,7 @@ func run() int {
 		})
 	}
 
-	r := &runner.Runner{Jobs: *jobs, Observer: obs, Checkpoint: ckpt}
-	if inject != nil {
-		r.WrapRun = inject.wrap
-	}
+	r := &runner.Runner{Jobs: *jobs, Observer: obs, Checkpoint: ckpt, Injector: injector}
 	report, runErr := r.Run(ctx, cfg, keys...)
 	if report == nil {
 		fmt.Fprintln(os.Stderr, "paperfigs:", runErr)

@@ -2,6 +2,7 @@ package api
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -49,6 +50,14 @@ func TestParamsValidate(t *testing.T) {
 		{DistShards: -1},
 		{DistWalks: -8},
 		{DistRounds: -3},
+		// Non-finite floats arrive through flags and dataset
+		// references; every float knob refuses them.
+		{Scale: math.NaN()},
+		{Scale: math.Inf(1)},
+		{SpectralTol: math.NaN()},
+		{SpectralTol: math.Inf(1)},
+		{Eps: math.NaN()},
+		{EpsList: []float64{0.1, math.NaN()}},
 	}
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {

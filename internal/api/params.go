@@ -2,13 +2,13 @@ package api
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
 // The canonical experiment and query defaults. Every layer that used
 // to carry its own copy (core.Options, runner.Config, the CLI flag
-// defaults) now reads this single set; runner re-exports them as
-// deprecated aliases for older callers.
+// defaults, cliutil's dataset references) now reads this single set.
 //
 // The values follow the evaluation harness: Scale 0.01 turns the
 // paper's million-node graphs into ~10k-node substitutes, Sources 200
@@ -170,8 +170,8 @@ func (p Params) WithDefaults() Params {
 // layer could interpret: negative knobs, ε outside (0, 1), an unknown
 // solver name.
 func (p Params) Validate() error {
-	if p.Scale < 0 {
-		return fmt.Errorf("api: scale %v must be positive", p.Scale)
+	if p.Scale < 0 || !finite(p.Scale) {
+		return fmt.Errorf("api: scale %v must be finite and positive", p.Scale)
 	}
 	if p.Sources < 0 {
 		return fmt.Errorf("api: sources %d must be positive", p.Sources)
@@ -179,8 +179,8 @@ func (p Params) Validate() error {
 	if p.MaxWalk < 0 {
 		return fmt.Errorf("api: max_walk %d must be positive", p.MaxWalk)
 	}
-	if p.SpectralTol < 0 {
-		return fmt.Errorf("api: spectral_tol %v must be positive", p.SpectralTol)
+	if p.SpectralTol < 0 || !finite(p.SpectralTol) {
+		return fmt.Errorf("api: spectral_tol %v must be finite and positive", p.SpectralTol)
 	}
 	if p.BlockSize < 0 {
 		return fmt.Errorf("api: block_size %d must be positive", p.BlockSize)
@@ -194,11 +194,11 @@ func (p Params) Validate() error {
 		return fmt.Errorf("api: unknown method %q (want %s or %s)",
 			p.Method, MethodLanczos, MethodPower)
 	}
-	if p.Eps < 0 || p.Eps >= 1 {
+	if !(p.Eps >= 0 && p.Eps < 1) {
 		return fmt.Errorf("api: eps %v must be in (0, 1)", p.Eps)
 	}
 	for _, e := range p.EpsList {
-		if e <= 0 || e >= 1 {
+		if !(e > 0 && e < 1) {
 			return fmt.Errorf("api: eps_list entry %v must be in (0, 1)", e)
 		}
 	}
@@ -213,6 +213,10 @@ func (p Params) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf. Flags and
+// dataset references can spell both; JSON cannot.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Canon renders the output-determining parameters as a canonical
 // string — the Params contribution to a result fingerprint. Workers,

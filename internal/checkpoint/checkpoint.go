@@ -31,6 +31,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"mixtime/internal/runner"
@@ -76,13 +77,28 @@ type Store struct {
 	dir string
 }
 
-// Open creates (if needed) and returns the store rooted at dir.
+// Open creates (if needed) and returns the store rooted at dir. It
+// removes the <id>.tmp-* directories that saves killed mid-write left
+// behind: their deferred cleanup never ran. A checkpoint directory has
+// one writer at a time — a second process opening it would delete the
+// first one's saves in flight.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("checkpoint: empty directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	for _, de := range des {
+		if strings.Contains(de.Name(), ".tmp-") {
+			if err := os.RemoveAll(filepath.Join(dir, de.Name())); err != nil {
+				return nil, fmt.Errorf("checkpoint: %w", err)
+			}
+		}
 	}
 	return &Store{dir: dir}, nil
 }

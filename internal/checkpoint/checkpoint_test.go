@@ -181,6 +181,37 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 	}
 }
 
+// TestOpenRemovesCrashedSaveLeftovers: a save killed before its
+// deferred cleanup leaves an <id>.tmp-* directory; reopening the
+// store removes it and keeps the committed entries.
+func TestOpenRemovesCrashedSaveLeftovers(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save("T1", runner.Config{}, report("T1", "kept", time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	leftover := filepath.Join(dir, "F1.tmp-123456")
+	if err := os.MkdirAll(leftover, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(leftover, "render.txt"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
+		t.Fatalf("leftover temp dir survived reopen: %v", err)
+	}
+	if _, ok := s.Lookup("T1", runner.Config{}); !ok {
+		t.Fatal("committed entry lost on reopen")
+	}
+}
+
 // renderRun renders a report's artifacts exactly as cmd/paperfigs
 // concatenates them.
 func renderRun(t *testing.T, rp *runner.Report) string {

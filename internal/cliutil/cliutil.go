@@ -13,33 +13,33 @@ package cliutil
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
+	"mixtime/internal/api"
 	"mixtime/internal/datasets"
 	"mixtime/internal/graph"
 	"mixtime/internal/graphio"
 )
 
-// DefaultScale is the dataset scale used when a reference omits one.
-const DefaultScale = 0.01
-
 // ParseDatasetRef splits "dataset:<name>[:scale]" into its parts;
-// ok is false if arg is not a dataset reference.
+// ok is false if arg is not a dataset reference. An omitted scale is
+// api.DefaultScale; a given one must be finite and positive.
 func ParseDatasetRef(arg string) (name string, scale float64, ok bool, err error) {
 	rest, ok := strings.CutPrefix(arg, "dataset:")
 	if !ok {
 		return "", 0, false, nil
 	}
-	scale = DefaultScale
+	scale = api.DefaultScale
 	name = rest
 	if i := strings.LastIndex(rest, ":"); i > 0 {
 		s, perr := strconv.ParseFloat(rest[i+1:], 64)
 		if perr != nil {
 			return "", 0, true, fmt.Errorf("bad scale in %q: %v", arg, perr)
 		}
-		if s <= 0 {
-			return "", 0, true, fmt.Errorf("scale must be positive in %q", arg)
+		if !(s > 0) || math.IsInf(s, 1) {
+			return "", 0, true, fmt.Errorf("scale must be finite and positive in %q", arg)
 		}
 		scale, name = s, rest[:i]
 	}

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mixtime/internal/api"
 	"mixtime/internal/gen"
 	"mixtime/internal/graphio"
 )
@@ -15,7 +16,7 @@ func TestParseDatasetRef(t *testing.T) {
 		t.Fatalf("got %q %v %v %v", name, scale, ok, err)
 	}
 	name, scale, ok, err = ParseDatasetRef("dataset:enron")
-	if err != nil || !ok || name != "enron" || scale != DefaultScale {
+	if err != nil || !ok || name != "enron" || scale != api.DefaultScale {
 		t.Fatalf("default scale: %q %v %v %v", name, scale, ok, err)
 	}
 	if _, _, ok, _ := ParseDatasetRef("somefile.txt"); ok {
@@ -26,6 +27,11 @@ func TestParseDatasetRef(t *testing.T) {
 	}
 	if _, _, _, err := ParseDatasetRef("dataset:enron:-1"); err == nil {
 		t.Fatal("negative scale accepted")
+	}
+	for _, bad := range []string{"NaN", "+Inf", "Inf"} {
+		if _, _, _, err := ParseDatasetRef("dataset:wiki-vote:" + bad); err == nil {
+			t.Fatalf("non-finite scale %s accepted", bad)
+		}
 	}
 }
 

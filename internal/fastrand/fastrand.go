@@ -94,11 +94,6 @@ func (p *PCG) Uint32n(n uint32) uint32 {
 	return uint32(m >> 32)
 }
 
-// IntN returns a uniform int in [0, n); n must be in (0, 2³²).
-func (p *PCG) IntN(n int) int {
-	return int(p.Uint32n(uint32(n)))
-}
-
 // Float64 returns a uniform float64 in [0, 1) with 53 random bits.
 func (p *PCG) Float64() float64 {
 	return float64(p.Uint64()>>11) / (1 << 53)

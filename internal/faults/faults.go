@@ -1,8 +1,10 @@
 // Package faults is the deterministic fault-injection layer behind
-// `mixtimed -inject`: a seeded injector that can delay a solve, fail
-// it with a transient error, or panic inside it, so the daemon's
-// containment paths (recover barrier, load shedding, client retry)
-// are exercisable on demand and testable byte-for-byte.
+// `mixtimed -inject` and `paperfigs -inject`: a seeded injector that
+// can delay a unit of work, fail it with a transient error, or panic
+// inside it, so the containment paths are exercisable on demand and
+// testable byte-for-byte. The daemon fires it on every solve (recover
+// barrier, load shedding, client retry); the experiment runner fires
+// it on every attempt (recover barrier, retries, attempt deadlines).
 //
 // Determinism contract: all randomness comes from one seeded PCG
 // stream consumed under a mutex, so the k-th Inject call draws the

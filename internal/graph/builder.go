@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -54,6 +55,11 @@ func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 
 // Build produces the graph. The Builder keeps its state and may be
 // extended and built again.
+//
+// Build panics when the deduplicated edges number 2³¹ or more: their
+// adjacency length 2m would not fit the graph's uint32 CSR offsets.
+// Loaders of untrusted input (graphio) bound their edge count before
+// they reach it.
 func (b *Builder) Build() *Graph {
 	if !b.any {
 		return &Graph{}
@@ -77,7 +83,11 @@ func (b *Builder) Build() *Graph {
 	}
 	es = uniq
 
-	offsets := make([]int64, n+1)
+	if 2*int64(len(es)) > math.MaxUint32 {
+		panic(fmt.Sprintf("graph: %d edges exceed the uint32 CSR limit of 2³¹−1 (adjacency length 2m ≤ %d)",
+			len(es), uint32(math.MaxUint32)))
+	}
+	offsets := make([]uint32, n+1)
 	for _, e := range es {
 		offsets[e.U+1]++
 		offsets[e.V+1]++
@@ -86,7 +96,7 @@ func (b *Builder) Build() *Graph {
 		offsets[v+1] += offsets[v]
 	}
 	neighbors := make([]NodeID, offsets[n])
-	cursor := make([]int64, n)
+	cursor := make([]uint32, n)
 	copy(cursor, offsets[:n])
 	for _, e := range es {
 		neighbors[cursor[e.U]] = e.V
@@ -104,7 +114,7 @@ func (b *Builder) Build() *Graph {
 			sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
 		}
 	}
-	return adopt(offsets, neighbors)
+	return &Graph{offsets: offsets, neighbors: neighbors}
 }
 
 func sorted(a []NodeID) bool {

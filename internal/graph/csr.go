@@ -22,7 +22,7 @@ func FromCSR32(offsets []uint32, neighbors []NodeID) (*Graph, error) {
 	if len(offsets)-1 > MaxNodes {
 		return nil, fmt.Errorf("graph: CSR node count %d exceeds limit %d", len(offsets)-1, MaxNodes)
 	}
-	g := &Graph{off32: offsets, neighbors: neighbors}
+	g := &Graph{offsets: offsets, neighbors: neighbors}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph: invalid CSR: %w", err)
 	}

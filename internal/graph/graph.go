@@ -7,7 +7,8 @@
 // Graphs are simple (no self-loops, no parallel edges) and undirected;
 // directed inputs are symmetrized at build time, matching the
 // preprocessing used by the paper and by the Sybil-defense literature
-// it measures.
+// it measures. CSR offsets are uint32, so a graph holds at most 2³¹−1
+// undirected edges; Builder.Build panics past that.
 package graph
 
 import (
@@ -25,91 +26,48 @@ const MaxNodes = math.MaxUint32 - 1
 // Graph is an immutable simple undirected graph in CSR form. The zero
 // value is an empty graph. All methods are safe for concurrent use.
 //
-// Offsets are stored in one of two widths: a compact uint32 array
-// when the adjacency length 2m fits in 32 bits (every graph under ~2
-// billion undirected edges — all of the paper's datasets and then
-// some), or int64 above that. The compact form halves the
-// offset-array traffic of every CSR pass, which on bandwidth-bound
-// kernels is measurable; see DESIGN.md §12. Exactly one of off32 /
-// off64 is non-nil on a non-empty graph.
+// Offsets are uint32, so the adjacency length 2m is at most 2³²−1: a
+// graph holds fewer than 2³¹ undirected edges (≈16 GiB of adjacency),
+// which covers every dataset of the paper. Against int64 offsets this
+// halves the offset-array traffic of every CSR pass, which on
+// bandwidth-bound kernels is measurable; see DESIGN.md §12.
 type Graph struct {
-	off32     []uint32 // len n+1 when compact, else nil
-	off64     []int64  // len n+1 when 2m >= 2^32, else nil
+	offsets   []uint32 // len n+1; nil on an empty graph
 	neighbors []NodeID
-}
-
-// adopt wraps trusted CSR arrays (a Builder's output) in a Graph,
-// compacting the offsets to uint32 when they fit. No validation.
-func adopt(offsets []int64, neighbors []NodeID) *Graph {
-	if len(offsets) == 0 {
-		return &Graph{neighbors: neighbors}
-	}
-	if int64(len(neighbors)) <= math.MaxUint32 {
-		off := make([]uint32, len(offsets))
-		for i, o := range offsets {
-			off[i] = uint32(o)
-		}
-		return &Graph{off32: off, neighbors: neighbors}
-	}
-	return &Graph{off64: offsets, neighbors: neighbors}
 }
 
 // NumNodes returns the number of vertices n.
 func (g *Graph) NumNodes() int {
-	if g.off32 != nil {
-		return len(g.off32) - 1
+	if g.offsets == nil {
+		return 0
 	}
-	if g.off64 != nil {
-		return len(g.off64) - 1
-	}
-	return 0
+	return len(g.offsets) - 1
 }
 
 // NumEdges returns the number of undirected edges m. Each edge {u,v}
 // is counted once.
 func (g *Graph) NumEdges() int64 { return int64(len(g.neighbors)) / 2 }
 
-// offsetAt returns the CSR offset of vertex slot v (0 <= v <= n).
-func (g *Graph) offsetAt(v int) int64 {
-	if g.off32 != nil {
-		return int64(g.off32[v])
-	}
-	return g.off64[v]
-}
-
 // Degree returns the number of neighbors of v.
-func (g *Graph) Degree(v NodeID) int {
-	if g.off32 != nil {
-		return int(g.off32[v+1] - g.off32[v])
-	}
-	return int(g.off64[v+1] - g.off64[v])
-}
+func (g *Graph) Degree(v NodeID) int { return int(g.offsets[v+1] - g.offsets[v]) }
 
 // Neighbors returns the adjacency list of v, sorted ascending. The
 // returned slice aliases the graph's internal storage and must not be
 // modified.
 func (g *Graph) Neighbors(v NodeID) []NodeID {
-	if g.off32 != nil {
-		return g.neighbors[g.off32[v]:g.off32[v+1]]
-	}
-	return g.neighbors[g.off64[v]:g.off64[v+1]]
+	return g.neighbors[g.offsets[v]:g.offsets[v+1]]
 }
 
-// Offsets32 returns the compact uint32 CSR offset array (length
-// NumNodes+1), or nil when the graph is empty or uses the wide form.
-// It is the zero-cost accessor the hot kernels hoist once per pass:
-// with off and adj := Adjacency() in locals, the inner loop
+// Offsets32 returns the CSR offset array (length NumNodes+1), or nil
+// when the graph is empty. It is the zero-cost accessor the hot
+// kernels hoist once per pass: with off and adj := Adjacency() in
+// locals, the inner loop
 //
 //	for i := off[v]; i < off[v+1]; i++ { ... adj[i] ... }
 //
 // compiles to two uint32 loads per row with no per-row slice header
 // construction. The array aliases graph storage; do not modify.
-func (g *Graph) Offsets32() []uint32 { return g.off32 }
-
-// Offsets64 returns the wide int64 offset array when the graph uses
-// it (adjacency length >= 2^32), else nil. Kernels pair it with
-// Offsets32: exactly one is non-nil on a non-empty graph.
-func (g *Graph) Offsets64() []int64 { return g.off64 }
+func (g *Graph) Offsets32() []uint32 { return g.offsets }
 
 // Adjacency returns the full CSR adjacency array (length 2m), the
 // concatenated sorted neighbor lists. It aliases graph storage; do
@@ -219,15 +177,15 @@ func (g *Graph) Validate() error {
 		}
 		return nil
 	}
-	if g.offsetAt(0) != 0 || g.offsetAt(n) != int64(len(g.neighbors)) {
+	if g.offsets[0] != 0 || int64(g.offsets[n]) != int64(len(g.neighbors)) {
 		return fmt.Errorf("graph: offset bounds [%d,%d] do not match %d neighbors",
-			g.offsetAt(0), g.offsetAt(n), len(g.neighbors))
+			g.offsets[0], g.offsets[n], len(g.neighbors))
 	}
 	// All offsets must be monotone before any adjacency slicing:
 	// HasEdge below indexes by the *neighbor's* offsets, which the
 	// per-node loop would not have vetted yet.
 	for v := 0; v < n; v++ {
-		if g.offsetAt(v) > g.offsetAt(v+1) {
+		if g.offsets[v] > g.offsets[v+1] {
 			return fmt.Errorf("graph: decreasing offsets at node %d", v)
 		}
 	}

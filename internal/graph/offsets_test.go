@@ -4,15 +4,12 @@ import (
 	"testing"
 )
 
-// TestCompactOffsetsChosen: every realistically sized graph must land
-// on the uint32 offset form — that is the whole bandwidth win.
+// TestCompactOffsetsChosen: every built graph lands on the uint32
+// offset form the hot kernels read.
 func TestCompactOffsetsChosen(t *testing.T) {
 	g := ring(10)
 	if g.Offsets32() == nil {
 		t.Fatal("builder graph did not use compact offsets")
-	}
-	if g.Offsets64() != nil {
-		t.Fatal("compact graph also carries wide offsets")
 	}
 	if len(g.Offsets32()) != g.NumNodes()+1 {
 		t.Fatalf("offsets length %d, want %d", len(g.Offsets32()), g.NumNodes()+1)
@@ -53,54 +50,6 @@ func TestFromCSR32RejectsInvalid(t *testing.T) {
 	for _, c := range cases {
 		if _, err := FromCSR32(c.off, c.adj); err == nil {
 			t.Fatalf("%s: accepted", c.name)
-		}
-	}
-}
-
-// wide returns g rebuilt on the int64 offset path, as a 4B+-edge
-// graph would be stored, so the fallback code paths stay tested
-// without a 16 GiB fixture.
-func wide(g *Graph) *Graph {
-	n := g.NumNodes()
-	off := make([]int64, n+1)
-	for v := 0; v <= n; v++ {
-		off[v] = g.offsetAt(v)
-	}
-	return &Graph{off64: off, neighbors: g.Adjacency()}
-}
-
-// TestWideOffsetsAgree runs the accessor surface on the wide twin of
-// a compact graph and demands identical answers everywhere.
-func TestWideOffsetsAgree(t *testing.T) {
-	g := ring(50)
-	w := wide(g)
-	if w.Offsets32() != nil || w.Offsets64() == nil {
-		t.Fatal("wide twin not on the int64 path")
-	}
-	if err := w.Validate(); err != nil {
-		t.Fatalf("wide twin invalid: %v", err)
-	}
-	if w.NumNodes() != g.NumNodes() || w.NumEdges() != g.NumEdges() {
-		t.Fatal("shape mismatch")
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		id := NodeID(v)
-		if w.Degree(id) != g.Degree(id) || w.AdjacencyOffset(id) != g.AdjacencyOffset(id) {
-			t.Fatalf("node %d: degree/offset mismatch", v)
-		}
-		cadj, wadj := g.Neighbors(id), w.Neighbors(id)
-		for i := range cadj {
-			if cadj[i] != wadj[i] {
-				t.Fatalf("node %d neighbor %d mismatch", v, i)
-			}
-		}
-	}
-	cp, wp := NewShardPlan(g, 4), NewShardPlan(w, 4)
-	for i := 0; i < cp.NumShards(); i++ {
-		clo, chi := cp.Bounds(i)
-		wlo, whi := wp.Bounds(i)
-		if clo != wlo || chi != whi {
-			t.Fatalf("shard %d bounds differ: [%d,%d) vs [%d,%d)", i, clo, chi, wlo, whi)
 		}
 	}
 }

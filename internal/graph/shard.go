@@ -38,13 +38,13 @@ func NewShardPlan(g *Graph, shards int) *ShardPlan {
 	if n == 0 {
 		return &ShardPlan{bounds: []int{0}}
 	}
-	total := g.offsetAt(n)
+	total := int64(g.offsets[n])
 	bounds := make([]int, shards+1)
 	for i := 1; i < shards; i++ {
 		target := total * int64(i) / int64(shards)
 		// Smallest v with offsets[v] >= target; clamp to keep bounds
 		// non-decreasing.
-		v := sort.Search(n, func(v int) bool { return g.offsetAt(v) >= target })
+		v := sort.Search(n, func(v int) bool { return int64(g.offsets[v]) >= target })
 		if v < bounds[i-1] {
 			v = bounds[i-1]
 		}
@@ -124,7 +124,7 @@ func (p *ShardPlan) Stats(g *Graph) ShardStats {
 		if lo >= hi {
 			continue
 		}
-		adj := g.offsetAt(hi) - g.offsetAt(lo)
+		adj := int64(g.offsets[hi] - g.offsets[lo])
 		if st.Shards == 0 || adj < st.MinAdj {
 			st.MinAdj = adj
 		}
@@ -142,9 +142,3 @@ func (p *ShardPlan) Stats(g *Graph) ShardStats {
 	}
 	return st
 }
-
-// AdjacencyOffset returns the CSR slot index of the first neighbor of
-// v — the index into CSR-aligned parallel arrays (edge weights) where
-// v's adjacency begins. AdjacencyOffset(v+1) − AdjacencyOffset(v) is
-// Degree(v).
-func (g *Graph) AdjacencyOffset(v NodeID) int64 { return g.offsetAt(int(v)) }

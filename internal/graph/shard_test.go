@@ -196,15 +196,20 @@ func TestShardPlanEmptyGraph(t *testing.T) {
 	}
 }
 
+// TestAdjacencyOffset: consecutive offsets delimit each node's slice
+// of the adjacency array, so their difference is its degree.
 func TestAdjacencyOffset(t *testing.T) {
 	g := shardTestGraph(60, 13)
-	if g.AdjacencyOffset(0) != 0 {
-		t.Fatalf("offset(0) = %d", g.AdjacencyOffset(0))
+	off := g.Offsets32()
+	if off[0] != 0 || int(off[g.NumNodes()]) != len(g.Adjacency()) {
+		t.Fatalf("offsets span [%d, %d], want [0, %d]", off[0], off[g.NumNodes()], len(g.Adjacency()))
 	}
-	for v := 0; v < g.NumNodes()-1; v++ {
-		d := g.AdjacencyOffset(NodeID(v+1)) - g.AdjacencyOffset(NodeID(v))
-		if int(d) != g.Degree(NodeID(v)) {
+	for v := 0; v < g.NumNodes(); v++ {
+		if d := off[v+1] - off[v]; int(d) != g.Degree(NodeID(v)) {
 			t.Fatalf("offset delta at %d = %d, want degree %d", v, d, g.Degree(NodeID(v)))
+		}
+		if nb := g.Neighbors(NodeID(v)); len(nb) > 0 && &nb[0] != &g.Adjacency()[off[v]] {
+			t.Fatalf("Neighbors(%d) does not start at adjacency offset %d", v, off[v])
 		}
 	}
 }

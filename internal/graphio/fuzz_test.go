@@ -43,17 +43,16 @@ func FuzzReadEdgeList(f *testing.F) {
 
 func FuzzReadMIXG(f *testing.F) {
 	fuzzCap(f)
-	// Valid v2 and v1 snapshots seed the structured corpus.
+	// A valid snapshot seeds the structured corpus, and a copy stamped
+	// with the retired version 1 must be refused.
 	var v2 bytes.Buffer
 	if err := WriteBinary(&v2, gen.Ring(8)); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(v2.Bytes())
-	var v1 bytes.Buffer
-	if err := writeBinaryV1(&v1, gen.Ring(8)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v1.Bytes())
+	v1 := append([]byte(nil), v2.Bytes()...)
+	binary.LittleEndian.PutUint32(v1[4:], 1)
+	f.Add(v1)
 	// Truncated header, bad magic, absurd counts.
 	f.Add([]byte("MIXG"))
 	f.Add([]byte("XXXX00000000000000000000"))

@@ -7,11 +7,10 @@
 //     directed duplicates tolerated (the builder symmetrizes). Files
 //     ending in .gz are transparently (de)compressed.
 //
-//   - A compact binary CSR snapshot ("MIXG" format) for fast reload
-//     of large generated graphs. Version 2 stores the CSR arrays
+//   - A compact binary CSR snapshot ("MIXG" format, version 2) for
+//     fast reload of large generated graphs. It stores the CSR arrays
 //     directly (offsets + symmetrized adjacency), so loading skips
-//     the builder's sort entirely; version 1 (edge pairs) is still
-//     read for old snapshots.
+//     the builder's sort entirely.
 //
 // All readers are hardened against corrupt or truncated input:
 // declared node/edge counts are sanity-capped against the file size
@@ -27,6 +26,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -47,6 +47,12 @@ const DefaultMaxLoadNodes = 1 << 28
 // It guards allocation size, not correctness: graphs under the cap
 // load identically for any setting above their node count.
 var MaxLoadNodes uint64 = DefaultMaxLoadNodes
+
+// maxEdgeLines bounds the edge lines ReadEdgeList accepts: 2³¹−1
+// edges are the most whose adjacency length 2m fits a graph's uint32
+// CSR offsets, so the Builder never sees an input it would refuse.
+// Tests lower it.
+var maxEdgeLines = math.MaxUint32 / 2
 
 // checkNodeID rejects node IDs at or above MaxLoadNodes.
 func checkNodeID(lineNo int, id uint64) error {
@@ -101,6 +107,9 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 		}
 		if err := checkNodeID(lineNo, v); err != nil {
 			return nil, err
+		}
+		if b.NumPendingEdges() == maxEdgeLines {
+			return nil, fmt.Errorf("graphio: line %d: edge list exceeds %d edges, the uint32 CSR limit", lineNo, maxEdgeLines)
 		}
 		b.AddEdge(graph.NodeID(u), graph.NodeID(v))
 	}
@@ -238,7 +247,7 @@ func WriteBinary(w io.Writer, g *graph.Graph) error {
 	return bw.Flush()
 }
 
-// readBinary reads a MIXG snapshot (version 1 or 2). size is the
+// readBinary reads a MIXG version 2 snapshot. size is the
 // total input length in bytes when known, or negative when it is not
 // (compressed or streamed input); a known size caps the declared
 // counts before anything is allocated.
@@ -257,42 +266,10 @@ func readBinary(r io.Reader, size int64) (*graph.Graph, error) {
 		return nil, fmt.Errorf("graphio: node count %d exceeds load limit %d (raise graphio.MaxLoadNodes for larger graphs)",
 			n, MaxLoadNodes)
 	}
-	switch ver {
-	case 1:
-		return readBinaryV1(r, n, m, size)
-	case 2:
-		return readBinaryV2(r, n, m, size)
-	default:
+	if ver != 2 {
 		return nil, fmt.Errorf("graphio: unsupported version %d", ver)
 	}
-}
-
-// readBinaryV1 reads the legacy payload: m undirected edges as uint32
-// pairs, rebuilt through the Builder.
-func readBinaryV1(r io.Reader, n, m uint64, size int64) (*graph.Graph, error) {
-	if size >= 0 {
-		if max := uint64(size-binHeaderLen) / 8; size < binHeaderLen || m > max {
-			return nil, fmt.Errorf("graphio: edge count %d needs %d bytes, file has %d",
-				m, binHeaderLen+8*m, size)
-		}
-	}
-	b := graph.NewBuilder(int(min(m, chunkEntries)))
-	if n > 0 {
-		b.AddNode(graph.NodeID(n - 1))
-	}
-	buf := make([]byte, 8)
-	for i := uint64(0); i < m; i++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("graphio: truncated at edge %d: %w", i, err)
-		}
-		u := binary.LittleEndian.Uint32(buf[0:])
-		v := binary.LittleEndian.Uint32(buf[4:])
-		if uint64(u) >= n || uint64(v) >= n {
-			return nil, fmt.Errorf("graphio: edge %d endpoint out of range", i)
-		}
-		b.AddEdge(u, v)
-	}
-	return b.Build(), nil
+	return readBinaryV2(r, n, m, size)
 }
 
 // readBinaryV2 reads the CSR payload: n+1 uint64 offsets then 2m

@@ -1,10 +1,8 @@
 package graphio
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
-	"io"
 	"math/rand/v2"
 	"path/filepath"
 	"strings"
@@ -92,65 +90,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// writeBinaryV1 emits the legacy edge-pair format so the v1 read path
-// keeps test coverage now that WriteBinary produces v2.
-func writeBinaryV1(w io.Writer, g *graph.Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binMagic); err != nil {
-		return err
-	}
-	hdr := make([]byte, 20)
-	binary.LittleEndian.PutUint32(hdr[0:], 1)
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(g.NumNodes()))
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(g.NumEdges()))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	var werr error
-	buf := make([]byte, 8)
-	g.Edges(func(u, v graph.NodeID) bool {
-		binary.LittleEndian.PutUint32(buf[0:], u)
-		binary.LittleEndian.PutUint32(buf[4:], v)
-		if _, err := bw.Write(buf); err != nil {
-			werr = err
-			return false
-		}
-		return true
-	})
-	if werr != nil {
-		return werr
-	}
-	return bw.Flush()
-}
-
-func TestBinaryV1LegacyStillReadable(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 10))
-	g := gen.ErdosRenyi(300, 0.02, rng)
-	var buf bytes.Buffer
-	if err := writeBinaryV1(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	size := int64(buf.Len())
-	back, err := readBinary(bytes.NewReader(buf.Bytes()), size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameGraph(g, back) {
-		t.Fatal("v1 round trip lost edges")
-	}
-	// Truncating the payload fails cleanly.
-	if _, err := readBinary(bytes.NewReader(buf.Bytes()[:buf.Len()-3]), -1); err == nil {
-		t.Fatal("truncated v1 stream accepted")
-	}
-	// A known size exposes an inflated edge count before allocation.
-	inflated := append([]byte(nil), buf.Bytes()...)
-	binary.LittleEndian.PutUint64(inflated[16:], 1<<40)
-	if _, err := readBinary(bytes.NewReader(inflated), size); err == nil ||
-		!strings.Contains(err.Error(), "bytes") {
-		t.Fatalf("inflated v1 edge count accepted: %v", err)
-	}
-}
-
 func TestBinaryRejectsCorruption(t *testing.T) {
 	g := gen.Ring(10)
 	var buf bytes.Buffer
@@ -168,11 +107,14 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	if _, err := readBinary(bytes.NewReader(bad), -1); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	// Corrupt version.
-	bad = append([]byte(nil), data...)
-	bad[4] = 9
-	if _, err := readBinary(bytes.NewReader(bad), -1); err == nil {
-		t.Fatal("bad version accepted")
+	// Any version but 2, the retired edge-pair v1 included.
+	for _, ver := range []uint32{1, 9} {
+		bad = append([]byte(nil), data...)
+		binary.LittleEndian.PutUint32(bad[4:], ver)
+		if _, err := readBinary(bytes.NewReader(bad), -1); err == nil ||
+			!strings.Contains(err.Error(), "unsupported version") {
+			t.Fatalf("version %d accepted: %v", ver, err)
+		}
 	}
 	// Node count past the load limit is rejected up front.
 	bad = append([]byte(nil), data...)
@@ -251,6 +193,20 @@ func TestReadEdgeListRejectsOversizedIDs(t *testing.T) {
 	// IDs at the cap boundary still load.
 	if g, err := ReadEdgeList(strings.NewReader("0 99\n")); err != nil || g.NumNodes() != 100 {
 		t.Fatalf("boundary ID rejected: %v", err)
+	}
+}
+
+// TestReadEdgeListCapsEdgeLines: an edge list past the CSR limit is
+// an error, never a Builder panic. The limit is lowered to 3 lines.
+func TestReadEdgeListCapsEdgeLines(t *testing.T) {
+	defer func(old int) { maxEdgeLines = old }(maxEdgeLines)
+	maxEdgeLines = 3
+	if g, err := ReadEdgeList(strings.NewReader("0 1\n1 2\n2 0\n")); err != nil || g.NumEdges() != 3 {
+		t.Fatalf("edge list at the limit rejected: %v", err)
+	}
+	if _, err := ReadEdgeList(strings.NewReader("0 1\n1 2\n2 0\n0 3\n")); err == nil ||
+		!strings.Contains(err.Error(), "CSR limit") {
+		t.Fatalf("edge list past the limit accepted: %v", err)
 	}
 }
 

@@ -30,7 +30,7 @@ var hostLittleEndian = func() bool {
 // Close; touching it afterwards faults. The mapping is read-only —
 // writing through Adjacency segfaults rather than corrupting the
 // file. When the fallback path loaded the graph into the heap
-// (compressed input, v1 snapshots, non-linux, big-endian hosts),
+// (compressed input, edge-list text, non-linux, big-endian hosts),
 // Close is a no-op and the Graph lives as long as any reference.
 type MappedGraph struct {
 	*graph.Graph
@@ -59,10 +59,9 @@ func (mg *MappedGraph) Mapped() bool { return mg.data != nil }
 // bytes themselves (they start at byte 24+8(n+1), which is 4-aligned,
 // and graph.NodeID is a little-endian-compatible uint32), and the
 // same structural validation as ReadMIXG runs before the graph is
-// returned. Inputs the mapping cannot serve — gzip, v1 snapshots,
-// edge-list text, big-endian hosts, platforms without mmap — fall
-// back to LoadFile transparently; check Mapped when the distinction
-// matters.
+// returned. Inputs the mapping cannot serve — gzip, edge-list text,
+// big-endian hosts, platforms without mmap — fall back to LoadFile
+// transparently; check Mapped when the distinction matters.
 func OpenMIXGMapped(path string) (*MappedGraph, error) {
 	mg, err := openMapped(path)
 	if mg != nil || err != nil {
@@ -99,9 +98,8 @@ func openMapped(path string) (*MappedGraph, error) {
 	if string(hdr[:4]) != binMagic {
 		return nil, nil // not binary: edge-list text (or gzip); fall back
 	}
-	ver := binary.LittleEndian.Uint32(hdr[4:])
-	if ver != 2 {
-		return nil, nil // v1 rebuilds through the Builder; fall back
+	if ver := binary.LittleEndian.Uint32(hdr[4:]); ver != 2 {
+		return nil, fmt.Errorf("graphio: unsupported version %d", ver)
 	}
 	n := binary.LittleEndian.Uint64(hdr[8:])
 	m := binary.LittleEndian.Uint64(hdr[16:])

@@ -90,15 +90,6 @@ func TestOpenMIXGMappedFallbacks(t *testing.T) {
 	g := gen.Ring(12)
 	dir := t.TempDir()
 
-	// v1 snapshots rebuild through the Builder.
-	v1 := filepath.Join(dir, "old.mixg")
-	var buf bytes.Buffer
-	if err := writeBinaryV1(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(v1, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	// gzip goes through the streamed reader, edge lists through the
 	// text parser.
 	gz := filepath.Join(dir, "ring.mixg.gz")
@@ -110,7 +101,7 @@ func TestOpenMIXGMappedFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, path := range []string{v1, gz, txt} {
+	for _, path := range []string{gz, txt} {
 		mg, err := OpenMIXGMapped(path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)

@@ -109,12 +109,7 @@ func groupLanes(rem int) int {
 // one). A lone column (odd widths) has nothing to vectorize and stays
 // in Go.
 func (c *Chain) stepBlockRows(dst, p, w []float64, width, lo, hi int) {
-	off := c.g.Offsets32()
-	if off == nil {
-		c.stepBlockRowsWide(dst, p, w, width, lo, hi)
-		return
-	}
-	adj := c.g.Adjacency()
+	off, adj := c.g.Offsets32(), c.g.Adjacency()
 	if useAVX2 {
 		stride := width * 8
 		for base := 0; base < width; {
@@ -146,30 +141,6 @@ func (c *Chain) stepBlockRows(dst, p, w []float64, width, lo, hi int) {
 			c.stepBlockRows1s(dst, p, w, width, base, lo, hi, off, adj)
 		}
 		base += lanes
-	}
-}
-
-// stepBlockRowsWide is the memory-accumulator fallback for graphs on
-// the int64 offset form (≥ 4B adjacency entries) — correctness only;
-// blocked propagation at that scale runs through the sharded kernels.
-func (c *Chain) stepBlockRowsWide(dst, p, w []float64, width, lo, hi int) {
-	for v := lo; v < hi; v++ {
-		out := dst[v*width : (v+1)*width]
-		for j := range out {
-			out[j] = 0
-		}
-		for _, u := range c.g.Neighbors(graph.NodeID(v)) {
-			col := w[int(u)*width : int(u)*width+width]
-			for j, x := range col {
-				out[j] += x
-			}
-		}
-		if c.lazy {
-			row := p[v*width : (v+1)*width]
-			for j := range out {
-				out[j] = 0.5*row[j] + 0.5*out[j]
-			}
-		}
 	}
 }
 

@@ -49,8 +49,7 @@ func (c *Chain) MCTrace(src graph.NodeID, maxT, walks int, rng *rand.Rand) *Trac
 		sum += d
 	}
 	tv := make([]float64, maxT)
-	off := c.g.Offsets32()
-	adj := c.g.Adjacency()
+	off, adj := c.g.Offsets32(), c.g.Adjacency()
 	var moves int64 // batched into the collector after the loop
 	for t := 0; t < maxT; t++ {
 		for i, v := range pos {
@@ -58,14 +57,8 @@ func (c *Chain) MCTrace(src graph.NodeID, maxT, walks int, rng *rand.Rand) *Trac
 				continue
 			}
 			moves++
-			var u graph.NodeID
-			if off != nil {
-				o := off[v]
-				u = adj[o+pr.Uint32n(off[v+1]-o)]
-			} else {
-				nb := c.g.Neighbors(v)
-				u = nb[pr.IntN(len(nb))]
-			}
+			o := off[v]
+			u := adj[o+pr.Uint32n(off[v+1]-o)]
 			pos[i] = u
 			sum -= term[v] + term[u]
 			counts[v]--

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"runtime/debug"
 	"time"
+
+	"mixtime/internal/faults"
 )
 
 // PanicError is a driver panic converted into an ordinary error by
@@ -62,13 +64,18 @@ func ClassifyFailure(err error) FailureClass {
 
 // safeRun executes one attempt of run under recover, converting a
 // driver panic into a *PanicError instead of crashing the process.
-func safeRun(ctx context.Context, id string, run RunFunc, cfg Config, obs Observer) (res Result, err error) {
+// The injector (nil = none) fires first, inside the same barrier and
+// under the attempt's context.
+func safeRun(ctx context.Context, id string, inj *faults.Injector, run RunFunc, cfg Config, obs Observer) (res Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res = nil
 			err = &PanicError{Experiment: id, Value: v, Stack: debug.Stack()}
 		}
 	}()
+	if err := inj.Inject(ctx); err != nil {
+		return nil, err
+	}
 	return run(ctx, cfg, obs)
 }
 
@@ -79,10 +86,6 @@ func safeRun(ctx context.Context, id string, run RunFunc, cfg Config, obs Observ
 // between. It returns the first success or the last failure, plus
 // the number of attempts consumed.
 func (r *Runner) runAttempts(ctx context.Context, d Def, cfg Config, obs Observer) (Result, error, int) {
-	run := d.Run
-	if r.WrapRun != nil {
-		run = r.WrapRun(d, run)
-	}
 	attempts := cfg.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
@@ -101,7 +104,7 @@ func (r *Runner) runAttempts(ctx context.Context, d Def, cfg Config, obs Observe
 			actx, cancel = context.WithTimeout(ctx, cfg.PerExperimentTimeout)
 		}
 		t0 := time.Now()
-		res, err := safeRun(actx, d.ID, run, cfg, obs)
+		res, err := safeRun(actx, d.ID, r.Injector, d.Run, cfg, obs)
 		cancel()
 		if err == nil {
 			return res, nil, attempt

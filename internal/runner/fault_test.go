@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mixtime/internal/faults"
 )
 
 // collectEvents returns an observer appending every event to the
@@ -281,26 +283,90 @@ func TestClassifyFailure(t *testing.T) {
 	}
 }
 
-func TestWrapRunHookInjectsFaults(t *testing.T) {
+// TestInjectedFaultsThenRealResult: a faults spec whose capped
+// always-fire panic and error take the first two attempts leaves the
+// third to the real driver.
+func TestInjectedFaultsThenRealResult(t *testing.T) {
 	reg := NewRegistry()
 	reg.MustRegister(Def{ID: "T", Run: okRun("real")})
-	var first atomic.Bool
-	first.Store(true)
-	r := &Runner{Registry: reg, WrapRun: func(d Def, run RunFunc) RunFunc {
-		return func(ctx context.Context, cfg Config, obs Observer) (Result, error) {
-			if first.CompareAndSwap(true, false) {
-				panic("injected by WrapRun")
-			}
-			return run(ctx, cfg, obs)
-		}
-	}}
-	report, err := r.Run(context.Background(), Config{MaxAttempts: 2})
+	inj, err := faults.Parse("panic=1:1,error=1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, obs := collectEvents()
+	r := &Runner{Registry: reg, Observer: obs, Injector: inj}
+	report, err := r.Run(context.Background(), Config{MaxAttempts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := report.Experiments[0]
-	if e.Attempts != 2 || e.Result.Render() != "real" {
-		t.Fatalf("report = %+v, want real result on attempt 2", e)
+	if e.Attempts != 3 || e.Result.Render() != "real" {
+		t.Fatalf("report = %+v, want real result on attempt 3", e)
+	}
+	failed := kinds(*events, KindAttemptFailed)
+	var pe *PanicError
+	if len(failed) != 2 || !errors.As(failed[0].Err, &pe) || !errors.Is(failed[1].Err, faults.ErrInjected) {
+		t.Fatalf("attempt-failed events = %+v, want an injected panic then an injected error", failed)
+	}
+}
+
+// TestInjectedPanicFailsOnlyItsExperiment: under a parallel run, the
+// one injected panic fails the experiment that drew it as a
+// *PanicError, and its siblings render the bytes of a clean run.
+func TestInjectedPanicFailsOnlyItsExperiment(t *testing.T) {
+	reg := NewRegistry()
+	for _, id := range []string{"A", "X", "B"} {
+		reg.MustRegister(Def{ID: id, Run: okRun("out-" + id)})
+	}
+	inj, err := faults.Parse("panic=1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := (&Runner{Registry: reg, Jobs: 3}).Run(context.Background(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty, err := (&Runner{Registry: reg, Jobs: 3, Injector: inj}).Run(context.Background(), Config{})
+	if err == nil {
+		t.Fatal("injected panic not reported")
+	}
+	panicked := 0
+	for i, e := range faulty.Experiments {
+		if e.Err != nil {
+			var pe *PanicError
+			if !errors.As(e.Err, &pe) || pe.Experiment != e.ID {
+				t.Errorf("%s.Err = %v, want its own *PanicError", e.ID, e.Err)
+			}
+			panicked++
+			continue
+		}
+		if got, want := e.Result.Render(), clean.Experiments[i].Result.Render(); got != want {
+			t.Errorf("%s rendered %q beside the panic, want %q", e.ID, got, want)
+		}
+	}
+	if panicked != 1 {
+		t.Fatalf("%d experiments failed, want exactly the one that drew the panic", panicked)
+	}
+}
+
+// TestInjectedLatencyTimesOut: an injected stall runs under the
+// attempt deadline, so it fails the attempt as a per-experiment
+// timeout instead of hanging the run.
+func TestInjectedLatencyTimesOut(t *testing.T) {
+	reg := NewRegistry()
+	reg.MustRegister(Def{ID: "T", Run: okRun("real")})
+	inj, err := faults.Parse("latency=1m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{Registry: reg, Injector: inj}
+	report, err := r.Run(context.Background(), Config{PerExperimentTimeout: 50 * time.Millisecond})
+	if err == nil {
+		t.Fatal("stalled attempt reported success")
+	}
+	e := report.Experiments[0]
+	if !errors.Is(e.Err, context.DeadlineExceeded) || !strings.Contains(e.Err.Error(), "timed out") {
+		t.Fatalf("T.Err = %v, want a per-attempt timeout", e.Err)
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"mixtime/internal/faults"
 	"mixtime/internal/telemetry"
 )
 
@@ -303,12 +304,12 @@ type Runner struct {
 	// replays matching prior completions instead of re-running them
 	// (see internal/checkpoint).
 	Checkpoint Checkpointer
-	// WrapRun, if non-nil, wraps every experiment's Run function
-	// before the attempt loop executes it. It exists for fault
-	// injection — tests and the hidden paperfigs -inject flag use it
-	// to provoke panics, hangs and transient failures deterministically
-	// — and must not be used to change healthy experiment output.
-	WrapRun func(Def, RunFunc) RunFunc
+	// Injector, when non-nil, arms deterministic fault injection
+	// (paperfigs -inject): every attempt draws from it inside the
+	// recover barrier and under the attempt deadline, before the
+	// driver runs, so panics, transient errors and stalls exercise
+	// the retry and timeout paths. See internal/faults.
+	Injector *faults.Injector
 }
 
 // Run executes the named experiments (all registered ones when keys

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -153,11 +154,15 @@ func (r *Registry) AddGraph(name, origin string, g *graph.Graph) (*Entry, error)
 }
 
 // AddDataset generates a Table-1 synthetic substitute at the given
-// scale and seed and registers it under the dataset's name.
+// scale and seed and registers it under the dataset's name. A scale
+// ≤ 0 means api.DefaultScale; NaN and ±Inf are errors.
 func (r *Registry) AddDataset(name string, scale float64, seed uint64) (*Entry, error) {
 	d, err := datasets.ByName(name)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
+	}
+	if math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return nil, fmt.Errorf("service: dataset %q: scale %v is not finite", name, scale)
 	}
 	if scale <= 0 {
 		scale = api.DefaultScale

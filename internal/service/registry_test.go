@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,6 +25,11 @@ func TestRegistryDatasets(t *testing.T) {
 	}
 	if _, err := r.AddDataset("orkut-prime", 0.002, 1); err == nil {
 		t.Fatal("unknown dataset accepted")
+	}
+	for _, scale := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := r.AddDataset("dblp", scale, 1); err == nil {
+			t.Fatalf("non-finite scale %v accepted", scale)
+		}
 	}
 	if _, ok := r.Get("physics-1"); !ok {
 		t.Fatal("Get missed a registered graph")

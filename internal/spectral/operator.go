@@ -131,89 +131,65 @@ func (op *Operator) Apply(dst, x, scratch []float64) {
 // w = D^{-1/2}x. Rows are independent and each row sums its neighbors
 // in CSR order, so any partition of the vertex range produces bytes
 // identical to a full sequential pass — the invariant ApplyParallel
-// relies on. On the compact (uint32-offset) form the offset and
-// adjacency arrays are hoisted into locals, skipping the per-row
-// slice construction, and rows are walked two at a time with one
-// accumulator each: the two add chains overlap in the pipeline, while
-// each row still adds its neighbors in CSR order. The wide form keeps
-// the Neighbors loops.
+// relies on. The offset and adjacency arrays are hoisted into locals,
+// skipping the per-row slice construction, and rows are walked two
+// at a time with one accumulator each: the two add chains overlap in
+// the pipeline, while each row still adds its neighbors in CSR order.
 func (op *Operator) applyRows(dst, w []float64, lo, hi int) {
-	if off := op.g.Offsets32(); off != nil {
-		adj := op.g.Adjacency()
-		inv := op.invSqrtDeg
-		v := lo
-		if wt := op.weights; wt != nil {
-			for ; v+1 < hi; v += 2 {
-				i0, i1, end := int(off[v]), int(off[v+1]), int(off[v+2])
-				a0, a1 := adj[i0:i1], adj[i1:end]
-				w0, w1 := wt[i0:i1], wt[i1:end]
-				c := min(len(a0), len(a1))
-				var s0, s1 float64
-				for j := 0; j < c; j++ {
-					s0 += w0[j] * w[a0[j]]
-					s1 += w1[j] * w[a1[j]]
-				}
-				for j := c; j < len(a0); j++ {
-					s0 += w0[j] * w[a0[j]]
-				}
-				for j := c; j < len(a1); j++ {
-					s1 += w1[j] * w[a1[j]]
-				}
-				dst[v], dst[v+1] = s0*inv[v], s1*inv[v+1]
-			}
-			for ; v < hi; v++ {
-				var s float64
-				for i, end := int(off[v]), int(off[v+1]); i < end; i++ {
-					s += wt[i] * w[adj[i]]
-				}
-				dst[v] = s * inv[v]
-			}
-			return
-		}
+	off, adj := op.g.Offsets32(), op.g.Adjacency()
+	inv := op.invSqrtDeg
+	v := lo
+	if wt := op.weights; wt != nil {
 		for ; v+1 < hi; v += 2 {
-			i1 := int(off[v+1])
-			a0, a1 := adj[off[v]:i1], adj[i1:off[v+2]]
+			i0, i1, end := int(off[v]), int(off[v+1]), int(off[v+2])
+			a0, a1 := adj[i0:i1], adj[i1:end]
+			w0, w1 := wt[i0:i1], wt[i1:end]
 			c := min(len(a0), len(a1))
 			var s0, s1 float64
 			for j := 0; j < c; j++ {
-				s0 += w[a0[j]]
-				s1 += w[a1[j]]
+				s0 += w0[j] * w[a0[j]]
+				s1 += w1[j] * w[a1[j]]
 			}
-			for _, u := range a0[c:] {
-				s0 += w[u]
+			for j := c; j < len(a0); j++ {
+				s0 += w0[j] * w[a0[j]]
 			}
-			for _, u := range a1[c:] {
-				s1 += w[u]
+			for j := c; j < len(a1); j++ {
+				s1 += w1[j] * w[a1[j]]
 			}
 			dst[v], dst[v+1] = s0*inv[v], s1*inv[v+1]
 		}
 		for ; v < hi; v++ {
 			var s float64
-			for _, u := range adj[off[v]:off[v+1]] {
-				s += w[u]
+			for i, end := int(off[v]), int(off[v+1]); i < end; i++ {
+				s += wt[i] * w[adj[i]]
 			}
 			dst[v] = s * inv[v]
 		}
 		return
 	}
-	if op.weights != nil {
-		idx := op.g.AdjacencyOffset(graph.NodeID(lo))
-		for v := lo; v < hi; v++ {
-			var s float64
-			for _, u := range op.g.Neighbors(graph.NodeID(v)) {
-				s += op.weights[idx] * w[u]
-				idx++
-			}
-			dst[v] = s * op.invSqrtDeg[v]
+	for ; v+1 < hi; v += 2 {
+		i1 := int(off[v+1])
+		a0, a1 := adj[off[v]:i1], adj[i1:off[v+2]]
+		c := min(len(a0), len(a1))
+		var s0, s1 float64
+		for j := 0; j < c; j++ {
+			s0 += w[a0[j]]
+			s1 += w[a1[j]]
 		}
-		return
+		for _, u := range a0[c:] {
+			s0 += w[u]
+		}
+		for _, u := range a1[c:] {
+			s1 += w[u]
+		}
+		dst[v], dst[v+1] = s0*inv[v], s1*inv[v+1]
 	}
-	for v := lo; v < hi; v++ {
+	for ; v < hi; v++ {
 		var s float64
-		for _, u := range op.g.Neighbors(graph.NodeID(v)) {
+		for _, u := range adj[off[v]:off[v+1]] {
 			s += w[u]
 		}
-		dst[v] = s * op.invSqrtDeg[v]
+		dst[v] = s * inv[v]
 	}
 }
 

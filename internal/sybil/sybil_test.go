@@ -103,20 +103,6 @@ func TestVerifyDeterministic(t *testing.T) {
 	}
 }
 
-func TestLazyMatchesMaterialized(t *testing.T) {
-	g := fastGraph(150)
-	base := Config{W: 6, R: 50, Seed: 13}
-	lazyCfg := base
-	lazyCfg.Lazy = true
-	pm, _ := NewProtocol(g, base)
-	pl, _ := NewProtocol(g, lazyCfg)
-	rm := pm.Verify(2, AllHonest(g, 2))
-	rl := pl.Verify(2, AllHonest(g, 2))
-	if rm.NumAccepted != rl.NumAccepted {
-		t.Fatalf("lazy %d vs materialized %d", rl.NumAccepted, rm.NumAccepted)
-	}
-}
-
 func TestBalanceConditionCapsLoad(t *testing.T) {
 	// With an artificially tiny balance budget, acceptance must be
 	// bounded by R × floor even when everyone intersects.

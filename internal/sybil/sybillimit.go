@@ -36,9 +36,6 @@ type Config struct {
 	// BalanceMult is h, the multiplier on the average per-tail load
 	// (default 4).
 	BalanceMult float64
-	// Lazy selects PRF-lazy route permutations instead of
-	// materialized ones: slower per step, O(1) memory per instance.
-	Lazy bool
 }
 
 func (c Config) withDefaults(m int64) (Config, error) {
@@ -134,19 +131,15 @@ func firstSlot(seed uint64, instance int, v graph.NodeID, deg int) int {
 }
 
 // router builds the route instance for one protocol instance.
-func (p *Protocol) router(instance int) walk.Router {
-	seed := p.cfg.Seed*0x100000001b3 + uint64(instance)
-	if p.cfg.Lazy {
-		return walk.NewLazy(p.g, seed)
-	}
-	return walk.NewInstance(p.g, seed)
+func (p *Protocol) router(instance int) *walk.Instance {
+	return walk.NewInstance(p.g, p.cfg.Seed*0x100000001b3+uint64(instance))
 }
 
 // verifierTail computes the verifier's route tail in one instance.
 // The verifier's routes use an independent first-slot stream
 // (different salt), so they are uncorrelated with a suspect route
 // started at the same node.
-func (p *Protocol) verifierTail(instance int, verifier graph.NodeID, r walk.Router) uint64 {
+func (p *Protocol) verifierTail(instance int, verifier graph.NodeID, r *walk.Instance) uint64 {
 	vs := firstSlot(p.cfg.Seed^0xa5a5a5a5, instance, verifier, p.g.Degree(verifier))
 	return edgeKey(walk.Route(r, verifier, vs, p.cfg.W))
 }

@@ -7,14 +7,11 @@
 //
 // Endpoint and Endpoints cover the plain-walk needs of SybilInfer and
 // the Whānau experiments; Random, which returns the whole trajectory,
-// is the reference their tests hold them to. Routes come in two storage
-// strategies with identical outputs: materialized permutations (an
-// O(m) table per instance, fastest to traverse) and PRF-lazy
-// permutations derived per (node, instance) from a keyed SplitMix64,
-// which cost more per step but keep memory at O(tails) — the
-// trade-off measured by BenchmarkRoutePermutations and discussed in
-// DESIGN.md §7. All randomness flows from caller-provided seeds, so
-// defense experiments are reproducible run to run.
+// is the reference their tests hold them to. A route Instance
+// materializes every node's permutation, derived per (node, instance)
+// from a keyed SplitMix64, into one CSR-aligned O(m) table. All
+// randomness flows from caller-provided seeds, so defense experiments
+// are reproducible run to run.
 package walk
 
 import (
@@ -41,18 +38,10 @@ func Random(g *graph.Graph, start graph.NodeID, length int, rng *rand.Rand) []gr
 	traj := make([]graph.NodeID, 0, length+1)
 	traj = append(traj, start)
 	cur := start
-	if off := g.Offsets32(); off != nil {
-		adj := g.Adjacency()
-		for i := 0; i < length; i++ {
-			o := off[cur]
-			cur = adj[o+pr.Uint32n(off[cur+1]-o)]
-			traj = append(traj, cur)
-		}
-		return traj
-	}
+	off, adj := g.Offsets32(), g.Adjacency()
 	for i := 0; i < length; i++ {
-		adj := g.Neighbors(cur)
-		cur = adj[pr.IntN(len(adj))]
+		o := off[cur]
+		cur = adj[o+pr.Uint32n(off[cur+1]-o)]
 		traj = append(traj, cur)
 	}
 	return traj
@@ -79,16 +68,9 @@ func Endpoints(g *graph.Graph, start graph.NodeID, lengths []int, rng *rand.Rand
 	t := 0
 	off, adj := g.Offsets32(), g.Adjacency()
 	for k, length := range lengths {
-		if off != nil {
-			for ; t < length; t++ {
-				o := off[cur]
-				cur = adj[o+pr.Uint32n(off[cur+1]-o)]
-			}
-		} else {
-			for ; t < length; t++ {
-				nb := g.Neighbors(cur)
-				cur = nb[pr.IntN(len(nb))]
-			}
+		for ; t < length; t++ {
+			o := off[cur]
+			cur = adj[o+pr.Uint32n(off[cur+1]-o)]
 		}
 		ends[k] = cur
 	}
@@ -134,102 +116,55 @@ func fillPerm(dst []uint32, d int, seed uint64) {
 	}
 }
 
-// Router steps random routes: given the directed edge (from → at)
-// just traversed, it returns the next hop out of at.
-type Router interface {
-	// Graph returns the routed graph.
-	Graph() *graph.Graph
-	// Step maps the incoming directed edge (from, at) to the next
-	// vertex after at.
-	Step(from, at graph.NodeID) graph.NodeID
-}
-
 // Instance is a materialized random-route instance: every node's
 // permutation is precomputed, O(2m) memory, O(1) per step. Build one
 // per SybilLimit instance, route all nodes, then discard.
 type Instance struct {
 	g    *graph.Graph
 	perm []uint32 // CSR-aligned: perm over v's slots at v's offset
-	off  []int64
+	off  []uint32 // the graph's CSR offsets
 }
 
 // NewInstance materializes the route permutations for the given
 // instance seed.
 func NewInstance(g *graph.Graph, seed uint64) *Instance {
-	n := g.NumNodes()
-	off := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + int64(g.Degree(graph.NodeID(v)))
-	}
-	perm := make([]uint32, off[n])
-	for v := 0; v < n; v++ {
-		d := g.Degree(graph.NodeID(v))
-		fillPerm(perm[off[v]:off[v+1]], d, splitmix64(seed)^splitmix64(uint64(v)+0x5bd1))
+	off := g.Offsets32()
+	perm := make([]uint32, len(g.Adjacency()))
+	for v := 0; v < g.NumNodes(); v++ {
+		fillPerm(perm[off[v]:off[v+1]], int(off[v+1]-off[v]), splitmix64(seed)^splitmix64(uint64(v)+0x5bd1))
 	}
 	return &Instance{g: g, perm: perm, off: off}
 }
 
-// Graph returns the routed graph.
-func (in *Instance) Graph() *graph.Graph { return in.g }
-
-// Step implements Router.
+// Step maps the incoming directed edge (from, at) to the next vertex
+// after at.
 func (in *Instance) Step(from, at graph.NodeID) graph.NodeID {
 	slot := in.g.EdgeSlot(at, from)
-	out := in.perm[in.off[at]+int64(slot)]
+	out := in.perm[int(in.off[at])+slot]
 	return in.g.Neighbors(at)[out]
-}
-
-// Lazy is a route instance that regenerates each node's permutation
-// on demand from the PRF seed: zero persistent memory, O(deg) work
-// per step. The memory/time trade-off against Instance is an ablation
-// benchmark in the harness.
-type Lazy struct {
-	g       *graph.Graph
-	seed    uint64
-	scratch []uint32
-}
-
-// NewLazy creates a lazy route instance. Not safe for concurrent use
-// (it reuses a scratch buffer).
-func NewLazy(g *graph.Graph, seed uint64) *Lazy {
-	return &Lazy{g: g, seed: seed, scratch: make([]uint32, g.MaxDegree())}
-}
-
-// Graph returns the routed graph.
-func (l *Lazy) Graph() *graph.Graph { return l.g }
-
-// Step implements Router.
-func (l *Lazy) Step(from, at graph.NodeID) graph.NodeID {
-	d := l.g.Degree(at)
-	p := l.scratch[:d]
-	fillPerm(p, d, splitmix64(l.seed)^splitmix64(uint64(at)+0x5bd1))
-	slot := l.g.EdgeSlot(at, from)
-	return l.g.Neighbors(at)[p[slot]]
 }
 
 // Route walks a random route of length w (w ≥ 1 edges) from start,
 // taking the given first slot out of start, and returns the tail (the
 // last directed edge traversed).
-func Route(r Router, start graph.NodeID, firstSlot, w int) DirectedEdge {
-	g := r.Graph()
+func Route(in *Instance, start graph.NodeID, firstSlot, w int) DirectedEdge {
 	from := start
-	at := g.Neighbors(start)[firstSlot]
+	at := in.g.Neighbors(start)[firstSlot]
 	for i := 1; i < w; i++ {
-		from, at = at, r.Step(from, at)
+		from, at = at, in.Step(from, at)
 	}
 	return DirectedEdge{From: from, To: at}
 }
 
 // RouteTrace is Route returning the full vertex trajectory
 // (w+1 vertices), for tests and diagnostics.
-func RouteTrace(r Router, start graph.NodeID, firstSlot, w int) []graph.NodeID {
-	g := r.Graph()
+func RouteTrace(in *Instance, start graph.NodeID, firstSlot, w int) []graph.NodeID {
 	traj := make([]graph.NodeID, 0, w+1)
 	from := start
-	at := g.Neighbors(start)[firstSlot]
+	at := in.g.Neighbors(start)[firstSlot]
 	traj = append(traj, from, at)
 	for i := 1; i < w; i++ {
-		from, at = at, r.Step(from, at)
+		from, at = at, in.Step(from, at)
 		traj = append(traj, at)
 	}
 	return traj

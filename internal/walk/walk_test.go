@@ -103,23 +103,6 @@ func TestInstanceStepBijective(t *testing.T) {
 	}
 }
 
-func TestLazyMatchesInstance(t *testing.T) {
-	g := gen.WattsStrogatz(150, 3, 0.3, rng(6))
-	seed := uint64(424242)
-	mat := NewInstance(g, seed)
-	lazy := NewLazy(g, seed)
-	for v := 0; v < g.NumNodes(); v++ {
-		at := graph.NodeID(v)
-		for _, from := range g.Neighbors(at) {
-			a := mat.Step(from, at)
-			b := lazy.Step(from, at)
-			if a != b {
-				t.Fatalf("node %d from %d: materialized %d vs lazy %d", at, from, a, b)
-			}
-		}
-	}
-}
-
 func TestRouteConvergence(t *testing.T) {
 	// Two routes that traverse the same directed edge continue
 	// identically afterwards.
@@ -233,17 +216,6 @@ func BenchmarkInstanceRoutes(b *testing.B) {
 		in := NewInstance(g, uint64(i))
 		for v := 0; v < 1000; v++ {
 			Route(in, graph.NodeID(v), 0, 10)
-		}
-	}
-}
-
-func BenchmarkLazyRoutes(b *testing.B) {
-	g := gen.BarabasiAlbert(10_000, 5, rng(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l := NewLazy(g, uint64(i))
-		for v := 0; v < 1000; v++ {
-			Route(l, graph.NodeID(v), 0, 10)
 		}
 	}
 }

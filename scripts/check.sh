@@ -3,7 +3,8 @@
 # darwin/arm64 cross-build), the full test suite under the race
 # detector (which includes the repository lints in
 # scripts/deadcode_test.go: the dead-code gate over internal/ and the
-# package-doc rule), the perfbench module's vet and tests,
+# package-doc rule), the perfbench module's vet and tests, the fuzz
+# seed corpora, paperfigs' fault injection end to end,
 # byte-identical regeneration of the SLEM, physics and Whanau artifacts in
 # results/, and (when at least two BENCH_*.json snapshots exist) the
 # kernel benchmark regression diff. Run from anywhere inside the repo.
@@ -47,11 +48,51 @@ go test -race -count=1 ./internal/runner ./internal/telemetry ./internal/checkpo
 
 echo "== fuzz corpus =="
 # Execute the seed corpus of every fuzz target (no fuzzing engine —
-# deterministic and fast): the graphio readers and the query decoder.
-# Longer exploration:
+# deterministic and fast): the graphio readers, the query decoder and
+# the result cache's warm load. Longer exploration:
 #   go test -fuzz=FuzzReadMIXG -fuzztime=30s ./internal/graphio
 #   go test -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/api
-go test -run='^Fuzz' ./internal/graphio ./internal/api
+#   go test -fuzz=FuzzWarmLoad -fuzztime=30s ./internal/service
+go test -run='^Fuzz' ./internal/graphio ./internal/api ./internal/service
+
+echo "== paperfigs fault injection =="
+# The runner's containment paths through the real binary, armed with
+# the internal/faults grammar mixtimed uses. A capped panic and a
+# capped transient error take T1's first two attempts and -retries 2
+# leaves the third to the driver, so T1 and F1 must match an
+# uninjected run byte for byte. An injected stall runs under the
+# attempt deadline, so it must fail the run as a timeout within 10 s
+# instead of hanging it.
+inj_dir=$(mktemp -d)
+trap 'rm -rf "$inj_dir"' EXIT
+mkdir "$inj_dir/clean" "$inj_dir/injected"
+go build -o "$inj_dir/paperfigs" ./cmd/paperfigs
+"$inj_dir/paperfigs" -q -only T1,F1 -scale 0.001 -csv "$inj_dir/clean" >/dev/null
+if ! "$inj_dir/paperfigs" -q -only T1,F1 -scale 0.001 -retries 2 \
+	-inject 'seed=7,panic=1:1,error=1:1' -csv "$inj_dir/injected" >/dev/null 2>"$inj_dir/retry.log"; then
+	echo "injected panic and error were not retried to success:" >&2
+	cat "$inj_dir/retry.log" >&2
+	exit 1
+fi
+for id in T1 F1; do
+	if ! cmp "$inj_dir/injected/$id.csv" "$inj_dir/clean/$id.csv"; then
+		echo "$id.csv after injected faults differs from the uninjected run" >&2
+		exit 1
+	fi
+done
+if timeout 10 "$inj_dir/paperfigs" -q -only T1 -scale 0.001 -exp-timeout 1s \
+	-inject latency=1m >/dev/null 2>"$inj_dir/stall.log"; then
+	echo "injected stall: paperfigs exited 0, want a timed-out failure" >&2
+	exit 1
+fi
+if ! grep -q "timed out" "$inj_dir/stall.log"; then
+	echo "injected stall did not fail as a timeout within 10 s:" >&2
+	cat "$inj_dir/stall.log" >&2
+	exit 1
+fi
+rm -rf "$inj_dir"
+trap - EXIT
+echo "injected panic and error retried to identical bytes; injected stall timed out"
 
 echo "== SLEM, physics and Whanau artifacts =="
 # The seven committed artifacts whose rows come from a SLEM solve
