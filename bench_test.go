@@ -12,8 +12,8 @@
 // The fine-grained kernel benchmarks (Step, StepBlock, the
 // eigensolvers, the distributed walker flood) live next to their
 // kernels — internal/markov, internal/spectral, internal/distmix —
-// so the bench.sh snapshot binaries link only their own dependencies
-// and stay layout-stable as the rest of the repo grows.
+// so their test binaries link only their own dependencies and stay
+// layout-stable as the rest of the repo grows.
 package mixtime_test
 
 import (

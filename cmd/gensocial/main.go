@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -78,6 +79,9 @@ func run(dataset string, scale float64, model string, n, k int, p, beta, pin, po
 	var g *mixtime.Graph
 	switch {
 	case dataset != "":
+		if !(scale > 0) || math.IsInf(scale, 1) {
+			return fmt.Errorf("-scale must be finite and positive, got %v", scale)
+		}
 		d, err := mixtime.DatasetByName(dataset)
 		if err != nil {
 			return err

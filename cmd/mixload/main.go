@@ -100,7 +100,7 @@ func run() int {
 	client.MaxRetries = *retries
 	client.HedgeDelay = *hedge
 	waitCtx, cancel := context.WithTimeout(ctx, *wait)
-	err := client.WaitReady(waitCtx, 0)
+	err := client.WaitReady(waitCtx)
 	cancel()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mixload:", err)

@@ -25,6 +25,9 @@ const (
 	DefaultMaxMutateBody = 16 << 20
 )
 
+// maxBackoff caps a single backoff sleep between retries.
+const maxBackoff = 5 * time.Second
+
 // StatusError is a server-reported failure: the daemon answered with
 // a non-2xx status and (usually) a decodable error envelope. It
 // carries the status code and any Retry-After hint so callers — the
@@ -85,16 +88,10 @@ type Client struct {
 	// 503).
 	MaxRetries int
 	// BaseBackoff seeds the exponential backoff between retries
-	// (0 = 100ms). Each retry doubles it, capped at MaxBackoff, with
-	// ±50% jitter; a server Retry-After hint overrides the computed
-	// wait when larger.
+	// (0 = 100ms). Each retry doubles it, capped at 5s, with ±50%
+	// jitter; a server Retry-After hint overrides the computed wait
+	// when larger.
 	BaseBackoff time.Duration
-	// MaxBackoff caps a single backoff sleep (0 = 5s).
-	MaxBackoff time.Duration
-	// RetryBudget caps total retries across the client's lifetime
-	// (0 = unlimited). Shared across goroutines: a daemon that is
-	// truly down stops costing attempts once the budget drains.
-	RetryBudget int64
 	// HedgeDelay, when positive, arms hedged queries: if an attempt
 	// has not answered within this delay, a duplicate is issued and
 	// the first response wins (the loser is cancelled). Only Query
@@ -111,7 +108,6 @@ type Client struct {
 	sheds     atomic.Int64
 	hedges    atomic.Int64
 	hedgeWins atomic.Int64
-	budget    atomic.Int64 // retries spent against RetryBudget
 }
 
 // NewClient returns a client for the daemon at baseURL ("host:port"
@@ -290,16 +286,12 @@ func (c *Client) mutateOnce(ctx context.Context, body []byte) (*MutateResponse, 
 }
 
 // withRetries runs attempt, re-issuing retryable failures under
-// backoff until success, a terminal error, retry/budget exhaustion,
-// or ctx death.
+// backoff until success, a terminal error, retry exhaustion, or ctx
+// death.
 func (c *Client) withRetries(ctx context.Context, retryable func(error) bool, attempt func() error) error {
 	base := c.BaseBackoff
 	if base <= 0 {
 		base = 100 * time.Millisecond
-	}
-	maxB := c.MaxBackoff
-	if maxB <= 0 {
-		maxB = 5 * time.Second
 	}
 	for try := 0; ; try++ {
 		err := attempt()
@@ -312,14 +304,11 @@ func (c *Client) withRetries(ctx context.Context, retryable func(error) bool, at
 		if try >= c.MaxRetries || ctx.Err() != nil || !retryable(err) {
 			return err
 		}
-		if c.RetryBudget > 0 && c.budget.Add(1) > c.RetryBudget {
-			return fmt.Errorf("api: retry budget exhausted: %w", err)
-		}
 		// Exponential backoff with ±50% jitter; a larger server hint
 		// wins (the daemon knows when it expects to drain).
-		wait := maxB
+		wait := maxBackoff
 		if try < 20 { // base<<try overflows long before this
-			wait = min(base<<try, maxB)
+			wait = min(base<<try, maxBackoff)
 		}
 		wait = time.Duration(float64(wait) * (0.5 + rand.Float64()))
 		var se *StatusError
@@ -423,15 +412,6 @@ func (c *Client) Graphs(ctx context.Context) (*GraphsResponse, error) {
 	return &out, nil
 }
 
-// Stats fetches the daemon's counter snapshot.
-func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
-	var out StatsResponse
-	if err := c.getJSON(ctx, "/stats", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Healthz reports whether the daemon answers its health endpoint.
 func (c *Client) Healthz(ctx context.Context) error {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/healthz", nil)
@@ -450,12 +430,9 @@ func (c *Client) Healthz(ctx context.Context) error {
 	return nil
 }
 
-// WaitReady polls /healthz until the daemon answers, the interval
-// elapsing between attempts, or ctx expires.
-func (c *Client) WaitReady(ctx context.Context, interval time.Duration) error {
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
+// WaitReady polls /healthz every 50ms until the daemon answers or
+// ctx expires.
+func (c *Client) WaitReady(ctx context.Context) error {
 	for {
 		if err := c.Healthz(ctx); err == nil {
 			return nil
@@ -463,7 +440,7 @@ func (c *Client) WaitReady(ctx context.Context, interval time.Duration) error {
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("api: daemon not ready: %w", ctx.Err())
-		case <-time.After(interval):
+		case <-time.After(50 * time.Millisecond):
 		}
 	}
 }

@@ -85,25 +85,6 @@ func TestRetryHonorsRetryAfter(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetBoundsTotalAttempts: the client-wide budget stops
-// retrying a daemon that is down for good.
-func TestRetryBudgetBoundsTotalAttempts(t *testing.T) {
-	var calls atomic.Int64
-	c := queryServer(t, func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		writeResp(w, http.StatusServiceUnavailable, &Response{Error: "down"})
-	})
-	c.MaxRetries = 50
-	c.RetryBudget = 3
-	_, err := c.Query(context.Background(), Request{Op: OpSLEM, Graph: "g"})
-	if err == nil || !strings.Contains(err.Error(), "retry budget exhausted") {
-		t.Fatalf("err = %v, want budget exhaustion", err)
-	}
-	if got := calls.Load(); got != 4 { // 1 initial + 3 budgeted retries
-		t.Fatalf("calls = %d, want 4", got)
-	}
-}
-
 // TestNonRetryableStatusFailsFast: a 400 is the caller's bug, not a
 // transient — no retries, and the decodable envelope still comes back.
 func TestNonRetryableStatusFailsFast(t *testing.T) {

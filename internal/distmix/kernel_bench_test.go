@@ -1,5 +1,5 @@
 // Kernel benchmark for the distributed walker flood, isolated in the
-// distmix test binary for layout-stable bench.sh snapshots (see the
+// distmix test binary so its hot-loop layout stays stable (see the
 // note in internal/markov/kernel_bench_test.go).
 package distmix_test
 

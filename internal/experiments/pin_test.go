@@ -8,9 +8,15 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"mixtime/internal/runner"
+	"mixtime/internal/telemetry"
 )
 
 // pinCfg is smaller than tiny so that all 20 artifacts run in a few
@@ -44,16 +50,32 @@ var artifactPins = map[string]string{
 	"E2": "3a6f655c51c7c7a3e74c9608139ef86ab9b72eb8e30f0596219cb7891236cd45",
 }
 
-// TestArtifactPins runs every registered experiment and compares its
-// emitted bytes with artifactPins, and its JSON envelope's identity
-// with the registry's Def.
+// ledgerPath is the committed work ledger: every nonzero telemetry
+// counter of every artifact's pinCfg run, one "id,counter,value" row
+// each, in registry order and then counter name. The counts (matvecs,
+// Lanczos steps, edges scanned, distmix messages, ...) are exact and
+// repeat bit for bit at any GOMAXPROCS, so a change that does more or
+// less work fails here even when its bytes and its wall time do not
+// move. Gauges (shard_imbalance_milli follows GOMAXPROCS) and timers
+// (wall time) stay out. Regenerate with `go test
+// ./internal/experiments -run '^TestArtifactPins$' -update`.
+var ledgerPath = filepath.Join("testdata", "ledger.csv")
+
+// TestArtifactPins runs every registered experiment with a fresh
+// collector and compares its emitted bytes with artifactPins, its JSON
+// envelope's identity with the registry's Def, and its counters with
+// the ledger.
 func TestArtifactPins(t *testing.T) {
 	defs := runner.Default().Defs()
 	if len(defs) != len(artifactPins) {
 		t.Errorf("registry has %d experiments, %d are pinned", len(defs), len(artifactPins))
 	}
+	var ledger bytes.Buffer
+	ledger.WriteString("id,counter,value\n")
 	for _, def := range defs {
-		res, err := def.Run(context.Background(), pinCfg, nil)
+		cfg := pinCfg
+		cfg.Collector = telemetry.New()
+		res, err := def.Run(context.Background(), cfg, nil)
 		if err != nil {
 			t.Errorf("%s: %v", def.ID, err)
 			continue
@@ -81,5 +103,60 @@ func TestArtifactPins(t *testing.T) {
 		if got := hex.EncodeToString(h.Sum(nil)); got != artifactPins[def.ID] {
 			t.Errorf("%s: artifact sha256 = %q, pinned %q", def.ID, got, artifactPins[def.ID])
 		}
+		counters := cfg.Collector.Snapshot().Counters
+		names := make([]string, 0, len(counters))
+		for name := range counters {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Fprintf(&ledger, "%s,%s,%d\n", def.ID, name, counters[name])
+		}
 	}
+	if *updateGolden {
+		if err := os.WriteFile(ledgerPath, ledger.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(ledgerPath)
+	if err != nil {
+		t.Fatalf("missing ledger (regenerate with -update): %v", err)
+	}
+	if diff := ledgerDiff(string(want), ledger.String()); len(diff) > 0 {
+		t.Errorf("work counts drifted from %s (regenerate with -update once the change is deliberate):\n%s",
+			ledgerPath, strings.Join(diff, "\n"))
+	}
+}
+
+// ledgerDiff lists every row added to, removed from or changed
+// between two ledgers, keyed by "id,counter": got's order for added
+// and changed rows, then want's order for removed ones.
+func ledgerDiff(want, got string) []string {
+	parse := func(s string) (keys []string, vals map[string]string) {
+		vals = map[string]string{}
+		for _, line := range strings.Split(strings.TrimSpace(s), "\n")[1:] {
+			i := strings.LastIndexByte(line, ',')
+			keys = append(keys, line[:i])
+			vals[line[:i]] = line[i+1:]
+		}
+		return keys, vals
+	}
+	wantKeys, wantVals := parse(want)
+	gotKeys, gotVals := parse(got)
+	var diff []string
+	for _, k := range gotKeys {
+		w, ok := wantVals[k]
+		switch {
+		case !ok:
+			diff = append(diff, fmt.Sprintf("  added   %s = %s", k, gotVals[k]))
+		case w != gotVals[k]:
+			diff = append(diff, fmt.Sprintf("  changed %s: %s -> %s", k, w, gotVals[k]))
+		}
+	}
+	for _, k := range wantKeys {
+		if _, ok := gotVals[k]; !ok {
+			diff = append(diff, fmt.Sprintf("  removed %s (was %s)", k, wantVals[k]))
+		}
+	}
+	return diff
 }

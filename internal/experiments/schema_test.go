@@ -11,14 +11,14 @@ import (
 	"mixtime/internal/runner"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden files")
+var updateGolden = flag.Bool("update", false, "rewrite golden files and the work ledger")
 
 // TestDocumentSchemaGolden pins the versioned JSON document schema:
 // envelope keys, row field names, and the deterministic values of a
 // seeded run. Any drift — a renamed field, a reordered envelope, a
 // changed default — fails against the golden until the schema bump is
-// deliberate (regenerate with `go test -run DocumentSchemaGolden
-// -update ./internal/experiments`). `paperfigs -json` files and
+// deliberate (regenerate with `go test ./internal/experiments -run
+// DocumentSchemaGolden -update`). `paperfigs -json` files and
 // mixtimed OpExperiment responses both emit exactly this document.
 func TestDocumentSchemaGolden(t *testing.T) {
 	def, ok := runner.Default().Resolve("X3")

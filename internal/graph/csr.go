@@ -36,18 +36,3 @@ func FromCSR32(offsets []uint32, neighbors []NodeID) (*Graph, error) {
 func CSRSizes(n, m int64) (offsets, neighbors int64) {
 	return n + 1, 2 * m
 }
-
-// AppendCSR appends the graph's offsets and symmetrized adjacency to
-// the given slices (pass nil to allocate) and returns them. It is the
-// serialization counterpart of FromCSR32.
-func (g *Graph) AppendCSR(offsets []int64, neighbors []NodeID) ([]int64, []NodeID) {
-	n := g.NumNodes()
-	offsets = append(offsets, 0)
-	total := int64(0)
-	for v := 0; v < n; v++ {
-		total += int64(g.Degree(NodeID(v)))
-		offsets = append(offsets, total)
-	}
-	neighbors = append(neighbors, g.neighbors...)
-	return offsets, neighbors
-}

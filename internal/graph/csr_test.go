@@ -13,12 +13,12 @@ func TestCSRRoundTrip(t *testing.T) {
 	b.AddEdge(2, 0)
 	b.AddNode(4) // trailing isolated nodes survive
 	g := b.Build()
-	offsets, neighbors := g.AppendCSR(nil, nil)
+	offsets, neighbors := g.Offsets32(), g.Adjacency()
 	if wantOff, wantAdj := CSRSizes(int64(g.NumNodes()), int64(g.NumEdges())); int64(len(offsets)) != wantOff ||
 		int64(len(neighbors)) != wantAdj {
 		t.Fatalf("CSR sizes = %d/%d, want %d/%d", len(offsets), len(neighbors), wantOff, wantAdj)
 	}
-	back, err := FromCSR32(narrow(offsets), neighbors)
+	back, err := FromCSR32(offsets, neighbors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +44,7 @@ func TestCSRRoundTripRandom(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	offsets, neighbors := g.AppendCSR(nil, nil)
-	back, err := FromCSR32(narrow(offsets), neighbors)
+	back, err := FromCSR32(g.Offsets32(), g.Adjacency())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,26 +85,4 @@ func TestFromCSRRejectsInvalid(t *testing.T) {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
 		}
 	}
-}
-
-func TestAppendCSRAppends(t *testing.T) {
-	b := NewBuilder(0)
-	b.AddEdge(0, 1)
-	g := b.Build()
-	offsets, neighbors := g.AppendCSR([]int64{-7}, []NodeID{42})
-	if offsets[0] != -7 || neighbors[0] != 42 {
-		t.Fatal("AppendCSR clobbered existing prefix")
-	}
-	if len(offsets) != 1+g.NumNodes()+1 || int64(len(neighbors)) != 1+2*g.NumEdges() {
-		t.Fatalf("appended lengths %d/%d", len(offsets), len(neighbors))
-	}
-}
-
-// narrow converts AppendCSR's int64 offsets to FromCSR32's form.
-func narrow(offsets []int64) []uint32 {
-	out := make([]uint32, len(offsets))
-	for i, o := range offsets {
-		out[i] = uint32(o)
-	}
-	return out
 }

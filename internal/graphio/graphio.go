@@ -230,7 +230,13 @@ func WriteBinary(w io.Writer, g *graph.Graph) error {
 	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
-	offsets, neighbors := g.AppendCSR(nil, nil)
+	// The graph's own arrays stream out as they are, offsets widened
+	// on the way; a zero-node graph has no offset array but still
+	// writes its single zero offset.
+	offsets := g.Offsets32()
+	if offsets == nil {
+		offsets = []uint32{0}
+	}
 	var buf [8]byte
 	for _, off := range offsets {
 		binary.LittleEndian.PutUint64(buf[:], uint64(off))
@@ -238,7 +244,7 @@ func WriteBinary(w io.Writer, g *graph.Graph) error {
 			return err
 		}
 	}
-	for _, v := range neighbors {
+	for _, v := range g.Adjacency() {
 		binary.LittleEndian.PutUint32(buf[:4], v)
 		if _, err := bw.Write(buf[:4]); err != nil {
 			return err

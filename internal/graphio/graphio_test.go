@@ -3,8 +3,10 @@ package graphio
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand/v2"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -87,6 +89,27 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	if !sameGraph(g, back) {
 		t.Fatal("binary round trip lost edges")
+	}
+}
+
+// TestWriteBinaryStreamsGraphArrays: WriteBinary streams the graph's
+// own CSR arrays, so writing a graph allocates its buffered writer and
+// not a copy of the graph.
+func TestWriteBinaryStreamsGraphArrays(t *testing.T) {
+	g := gen.Ring(1 << 17)
+	adjBytes := 4 * len(g.Adjacency())
+	if adjBytes < 1<<20 {
+		t.Fatalf("fixture has %d adjacency bytes, want at least 1 MiB", adjBytes)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := WriteBinary(io.Discard, g); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("writing %d adjacency bytes allocated %d bytes, want < 64 KiB", adjBytes, got)
 	}
 }
 

@@ -52,6 +52,7 @@ func parityGraphs(t *testing.T) map[string]*graph.Graph {
 		"star":      gen.Star(9),
 		"complete":  gen.Complete(6),
 		"singleton": gen.Ring(1),
+		"empty":     graph.NewBuilder(0).Build(),
 		"ws": gen.WattsStrogatz(200, 6, 0.3,
 			rand.New(rand.NewPCG(11, 11))),
 	}

@@ -1,8 +1,9 @@
 // Kernel benchmarks for the propagation hot paths. They live in the
-// markov test binary — not the repo-root one — so the snapshot
-// scripts/bench.sh records depends only on this package and its
-// dependencies: code growth elsewhere in the repo cannot shift the
-// hot loops' binary layout and fake a regression in benchdiff.
+// markov test binary — not the repo-root one — so the binary depends
+// only on this package and its dependencies: when a change is timed
+// against a parent checkout with `go test -bench`, code growth
+// elsewhere in the repo cannot shift the hot loops' binary layout and
+// fake a regression.
 package markov_test
 
 import (
@@ -55,8 +56,8 @@ func benchStep(b *testing.B, col *telemetry.Collector) {
 // baseline. BenchmarkStepCollector is the identical kernel with a
 // live telemetry collector; DESIGN.md §8's overhead contract says the
 // pair must stay within noise of each other, because counters are
-// bumped once per CSR pass, never per edge. bench.sh snapshots both,
-// so benchdiff flags a drift in either.
+// bumped once per CSR pass, never per edge. scripts/check.sh's live
+// zero-alloc gate runs both.
 func BenchmarkStep(b *testing.B)          { benchStep(b, nil) }
 func BenchmarkStepCollector(b *testing.B) { benchStep(b, telemetry.New()) }
 

@@ -30,38 +30,6 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("panic in %s: %v", e.Experiment, e.Value)
 }
 
-// FailureClass classifies one attempt's failure for the retry loop.
-type FailureClass int
-
-const (
-	// ClassRetryable failures (panics, per-attempt timeouts, transient
-	// driver errors) are eligible for another attempt while the retry
-	// budget lasts.
-	ClassRetryable FailureClass = iota
-	// ClassFatal failures (run cancellation) stop the attempt loop
-	// immediately.
-	ClassFatal
-)
-
-// String names the class for logs and summaries.
-func (c FailureClass) String() string {
-	if c == ClassFatal {
-		return "fatal"
-	}
-	return "retryable"
-}
-
-// ClassifyFailure classifies an attempt failure. Run cancellation
-// (context.Canceled) is fatal; panics, per-attempt deadline hits and
-// everything else (transient I/O, a truncated download) are
-// retryable.
-func ClassifyFailure(err error) FailureClass {
-	if errors.Is(err, context.Canceled) {
-		return ClassFatal
-	}
-	return ClassRetryable
-}
-
 // safeRun executes one attempt of run under recover, converting a
 // driver panic into a *PanicError instead of crashing the process.
 // The injector (nil = none) fires first, inside the same barrier and
@@ -116,10 +84,12 @@ func (r *Runner) runAttempts(ctx context.Context, d Def, cfg Config, obs Observe
 				attempt, cfg.PerExperimentTimeout, err)
 		}
 		lastErr = err
-		class := ClassifyFailure(err)
 		Emit(obs, Event{Kind: KindAttemptFailed, Experiment: d.ID,
 			Attempt: attempt, Elapsed: time.Since(t0), Err: err})
-		if class == ClassFatal || attempt == attempts || ctx.Err() != nil {
+		// Run cancellation ends the loop; panics, attempt deadlines and
+		// every other error (transient I/O, a truncated download) may
+		// succeed on a re-run.
+		if errors.Is(err, context.Canceled) || attempt == attempts || ctx.Err() != nil {
 			break
 		}
 		backoff := cfg.RetryBackoff << (attempt - 1)

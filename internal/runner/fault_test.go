@@ -263,23 +263,26 @@ func TestRunCancellationIsFatalDuringBackoff(t *testing.T) {
 	}
 }
 
-func TestClassifyFailure(t *testing.T) {
-	cases := []struct {
-		name string
-		err  error
-		want FailureClass
-	}{
-		{"plain error", errors.New("x"), ClassRetryable},
-		{"panic", &PanicError{Experiment: "T1", Value: "v"}, ClassRetryable},
-		{"deadline", context.DeadlineExceeded, ClassRetryable},
-		{"wrapped deadline", fmt.Errorf("t: %w", context.DeadlineExceeded), ClassRetryable},
-		{"cancelled", context.Canceled, ClassFatal},
-		{"wrapped cancelled", fmt.Errorf("c: %w", context.Canceled), ClassFatal},
+// TestWrappedCancellationNotRetried: a driver error wrapping
+// context.Canceled ends the attempt loop even while the run itself is
+// live, as run cancellation does.
+func TestWrappedCancellationNotRetried(t *testing.T) {
+	var calls atomic.Int32
+	reg := NewRegistry()
+	reg.MustRegister(Def{ID: "C", Run: func(ctx context.Context, cfg Config, obs Observer) (Result, error) {
+		calls.Add(1)
+		return nil, fmt.Errorf("download: %w", context.Canceled)
+	}})
+	r := &Runner{Registry: reg}
+	report, err := r.Run(context.Background(), Config{MaxAttempts: 3, RetryBackoff: time.Millisecond})
+	if err == nil {
+		t.Fatal("cancelled experiment reported success")
 	}
-	for _, c := range cases {
-		if got := ClassifyFailure(c.err); got != c.want {
-			t.Errorf("ClassifyFailure(%s) = %v, want %v", c.name, got, c.want)
-		}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("experiment attempted %d times, want 1", n)
+	}
+	if e := report.Experiments[0]; e.Attempts != 1 || !errors.Is(e.Err, context.Canceled) {
+		t.Errorf("report = %+v, want one attempt failing with context.Canceled", e)
 	}
 }
 

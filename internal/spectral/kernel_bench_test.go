@@ -1,7 +1,7 @@
 // Kernel benchmarks for the eigensolvers and the sharded matvec,
-// isolated in the spectral test binary so the bench.sh snapshot's
-// hot-loop layout depends only on this package's dependencies (see
-// the note in internal/markov/kernel_bench_test.go).
+// isolated in the spectral test binary so its hot-loop layout depends
+// only on this package's dependencies (see the note in
+// internal/markov/kernel_bench_test.go).
 package spectral_test
 
 import (

@@ -3,11 +3,12 @@
 # darwin/arm64 cross-build), the full test suite under the race
 # detector (which includes the repository lints in
 # scripts/deadcode_test.go: the dead-code gate over internal/ and the
-# package-doc rule), the perfbench module's vet and tests, the fuzz
-# seed corpora, paperfigs' fault injection end to end,
-# byte-identical regeneration of the SLEM, physics and Whanau artifacts in
-# results/, and (when at least two BENCH_*.json snapshots exist) the
-# kernel benchmark regression diff. Run from anywhere inside the repo.
+# package-doc rule), the artifact pins and work ledger, the perfbench
+# module's vet and tests, the fuzz seed corpora, paperfigs' fault
+# injection end to end, byte-identical regeneration of the SLEM,
+# physics, Whanau, sybil-defense and distributed artifacts in results/,
+# and the live zero-alloc kernel gate. Run from anywhere inside the
+# repo.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -32,6 +33,16 @@ GOOS=darwin GOARCH=arm64 go vet ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== artifact pins and work ledger =="
+# TestArtifactPins is //go:build !race (the -race run above skips it):
+# it runs all 20 artifacts at a small config, holds each one's bytes
+# to a sha256 pin and its telemetry counters (matvecs, Lanczos steps,
+# edges scanned, distmix rounds and messages, ...) to the committed
+# internal/experiments/testdata/ledger.csv. The counts are exact at
+# any GOMAXPROCS, so a change that does more or less solver work fails
+# here with the changed rows named, even when no byte moves.
+go test -count=1 -run '^TestArtifactPins$' ./internal/experiments
 
 echo "== perfbench module =="
 # perfbench/ is its own Go module (mixtime/perfbench), so the root-level
@@ -99,14 +110,16 @@ echo "== SLEM, physics and Whanau artifacts =="
 # (Table 1, Figures 1/2/6/7, the conductance and trust extensions),
 # the three brute-force physics figures (F3-F5: blocked traces cut at
 # each figure's longest probe walk), the two Whanau checks (X3's
-# blocked tail-edge propagation, X7's walk-built DHTs) and the two
+# blocked tail-edge propagation, X7's walk-built DHTs), the two
 # evolving-graph trajectories (E1, E2: the only artifacts that run
-# power iteration's λ_n phase and the warm-started tracker) must
-# regenerate byte-identically from the recorded configuration
-# (EXPERIMENTS.md), so a solver, kernel, horizon or walk change that
-# moves any reported digit fails here rather than in a later artifact
-# refresh.
-art_ids="T1 F1 F2 F3 F4 F5 F6 F7 X2 X3 X4 X7 E1 E2"
+# power iteration's λ_n phase and the warm-started tracker), the
+# SybilInfer and defense-comparison extensions (X5, X6) and the
+# distributed estimator's communication sweep (D2) must regenerate
+# byte-identically from the recorded configuration (EXPERIMENTS.md),
+# so a solver, kernel, horizon or walk change that moves any reported
+# digit fails here rather than in a later artifact refresh. F8, X1
+# and D1 take 10-60 s each at this configuration and stay out.
+art_ids="T1 F1 F2 F3 F4 F5 F6 F7 X2 X3 X4 X5 X6 X7 E1 E2 D2"
 art_dir=$(mktemp -d)
 trap 'rm -rf "$art_dir"' EXIT
 go run ./cmd/paperfigs -q -only "$(echo $art_ids | tr ' ' ,)" -scale 0.005 -sources 200 \
@@ -363,9 +376,7 @@ echo "chaos ok: $shed shed, $retried retried, $panics panics contained, crash re
 
 echo "== zero-alloc kernel gate (live) =="
 # The steady-state matvec kernels must not touch the allocator: run
-# them briefly with -benchmem and fail on any nonzero allocs/op. This
-# is a live check against the working tree — benchdiff's -zeroalloc
-# gate below covers only the recorded snapshot.
+# them briefly with -benchmem and fail on any nonzero allocs/op.
 alloc_bad=$(go test -run '^$' -bench 'BenchmarkStep$|BenchmarkStepCollector$|BenchmarkStepBlock' \
 	-benchtime 20x -benchmem ./internal/markov |
 	awk '/^Benchmark/ { for (i = 3; i < NF; i++) if ($(i + 1) == "allocs/op" && $i + 0 > 0) print "  " $1 ": " $i " allocs/op" }')
@@ -431,19 +442,5 @@ scale_pid=""
 cleanup_scale
 trap - EXIT
 echo "1M nodes streamed, mapped, distmix tau=$scale_tau, peak RSS ${hwm_kb} kB (budget 524288)"
-
-echo "== benchdiff =="
-# Gate the two newest kernel benchmark snapshots against each other.
-# Snapshots are ordered by version-sorted name (BENCH_PR3 < BENCH_PR4
-# < BENCH_PR10), not mtime — a fresh checkout scrambles mtimes and
-# would otherwise diff in the wrong direction. With fewer than two
-# snapshots there is nothing to compare; run scripts/bench.sh to
-# record one.
-set -- $(ls BENCH_*.json 2>/dev/null | sort -V | tail -2)
-if [ "$#" -ge 2 ]; then
-	go run ./scripts -zeroalloc '^Benchmark(Step$|StepCollector$|StepBlock)' "$1" "$2"
-else
-	echo "fewer than two BENCH_*.json snapshots; skipping"
-fi
 
 echo "all checks passed"
