@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"mixtime/internal/api"
+	"mixtime/internal/atomicfile"
 	"mixtime/internal/cliutil"
 	"mixtime/internal/datasets"
 	"mixtime/internal/faults"
@@ -182,7 +183,12 @@ func run() int {
 	}
 	bound := ln.Addr().String()
 	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
+		// Published whole, so a poller never reads a partial address.
+		err := atomicfile.Write(*addrFile, 0o644, func(f *os.File) error {
+			_, err := f.WriteString(bound + "\n")
+			return err
+		})
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "mixtimed:", err)
 			return 1
 		}

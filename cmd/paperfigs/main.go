@@ -45,6 +45,7 @@ import (
 	"strings"
 
 	"mixtime/internal/api"
+	"mixtime/internal/atomicfile"
 	"mixtime/internal/checkpoint"
 	"mixtime/internal/cliutil"
 	_ "mixtime/internal/experiments" // registers the experiment drivers
@@ -272,19 +273,11 @@ func (saveOnly) Lookup(string, runner.Config) (runner.CheckpointEntry, bool) {
 	return runner.CheckpointEntry{}, false
 }
 
-// writeArtifact writes one artifact file when dir is set.
+// writeArtifact publishes one artifact file through atomicfile when
+// dir is set.
 func writeArtifact(dir, id, ext string, emit func(w io.Writer) error) error {
 	if dir == "" {
 		return nil
 	}
-	path := filepath.Join(dir, id+ext)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = emit(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return atomicfile.Write(filepath.Join(dir, id+ext), 0o644, func(f *os.File) error { return emit(f) })
 }

@@ -9,17 +9,12 @@
 // every Config knob that selects the run (seed, scale, sources, walk
 // cap, spectral tolerance, block size): a resume under a different
 // configuration misses and re-runs rather than replaying a stale
-// artifact. Saves are crash-safe — the entry is assembled in a
-// temp directory and renamed into place, so a kill mid-save leaves a
-// miss, never a torn entry.
-//
-// Layout under the run directory:
-//
-//	<dir>/<id>/meta.json        fingerprint, names, wall time (commit marker)
-//	<dir>/<id>/render.txt       Result.Render output
-//	<dir>/<id>/rows.csv         Result.CSV output
-//	<dir>/<id>/rows.json        Result.JSON output
-//	<dir>/<id>/telemetry.json   telemetry snapshot (instrumented runs only)
+// artifact. Each entry is one file, <dir>/<id>.json, published
+// through atomicfile, so a kill mid-save leaves a miss, never a torn
+// entry. It holds the fingerprint, the saved run's wall time, the
+// three artifact streams (Render, CSV, JSON) as base64 bytes, so
+// replay is byte-exact for any content, and the telemetry snapshot of
+// an instrumented run.
 package checkpoint
 
 import (
@@ -31,16 +26,16 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
+	"mixtime/internal/atomicfile"
 	"mixtime/internal/runner"
 	"mixtime/internal/telemetry"
 )
 
 // fingerprintVersion is bumped whenever the fingerprint input or the
 // entry layout changes, invalidating older checkpoint directories.
-const fingerprintVersion = 2
+const fingerprintVersion = 3
 
 // Fingerprint canonically hashes the configuration knobs an
 // experiment's output (and cost envelope) depends on, plus the
@@ -58,30 +53,30 @@ func Fingerprint(id string, cfg runner.Config) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// meta is the per-entry commit record. Entries become visible only
-// via the atomic temp-dir rename in Save, so a readable meta.json
-// certifies the artifact files beside it are complete.
-type meta struct {
-	Fingerprint string `json:"fingerprint"`
-	ID          string `json:"id"`
-	Name        string `json:"name,omitempty"`
-	Title       string `json:"title,omitempty"`
-	ElapsedNS   int64  `json:"elapsed_ns"`
-	Telemetry   bool   `json:"telemetry"`
+// entry is the content of one checkpoint file. The artifact streams
+// are []byte, which encoding/json stores as base64, so invalid UTF-8
+// and the JSON stream's own formatting replay exactly.
+type entry struct {
+	Fingerprint string              `json:"fingerprint"`
+	ElapsedNS   int64               `json:"elapsed_ns"`
+	Render      []byte              `json:"render"`
+	CSV         []byte              `json:"csv"`
+	JSON        []byte              `json:"json"`
+	Telemetry   *telemetry.Snapshot `json:"telemetry,omitempty"`
 }
 
 // Store is a file-backed runner.Checkpointer rooted at one run
 // directory. Methods are safe for concurrent use by the runner's
-// worker pool: distinct experiments write distinct subdirectories.
+// worker pool: distinct experiments write distinct files.
 type Store struct {
 	dir string
 }
 
 // Open creates (if needed) and returns the store rooted at dir. It
-// removes the <id>.tmp-* directories that saves killed mid-write left
-// behind: their deferred cleanup never ran. A checkpoint directory has
-// one writer at a time — a second process opening it would delete the
-// first one's saves in flight.
+// removes the temp files that saves killed mid-write left behind
+// (atomicfile.IsTemp). A checkpoint directory has one writer at a
+// time — a second process opening it would delete the first one's
+// saves in flight.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("checkpoint: empty directory")
@@ -94,8 +89,8 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	for _, de := range des {
-		if strings.Contains(de.Name(), ".tmp-") {
-			if err := os.RemoveAll(filepath.Join(dir, de.Name())); err != nil {
+		if atomicfile.IsTemp(de.Name()) {
+			if err := os.Remove(filepath.Join(dir, de.Name())); err != nil {
 				return nil, fmt.Errorf("checkpoint: %w", err)
 			}
 		}
@@ -103,13 +98,16 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// cachedResult replays a persisted artifact byte-for-byte.
-type cachedResult struct {
-	render    string
-	csv, json []byte
+func (s *Store) path(id string) string {
+	return filepath.Join(s.dir, id+".json")
 }
 
-func (c *cachedResult) Render() string { return c.render }
+// cachedResult replays a persisted artifact byte-for-byte.
+type cachedResult struct {
+	render, csv, json []byte
+}
+
+func (c *cachedResult) Render() string { return string(c.render) }
 func (c *cachedResult) CSV(w io.Writer) error {
 	_, err := w.Write(c.csv)
 	return err
@@ -123,52 +121,27 @@ func (c *cachedResult) JSON(w io.Writer) error {
 // any miss: no entry, fingerprint mismatch, or a torn/unreadable
 // entry (which resume treats as "re-run", never as an error).
 func (s *Store) Lookup(id string, cfg runner.Config) (runner.CheckpointEntry, bool) {
-	dir := filepath.Join(s.dir, id)
-	raw, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+	raw, err := os.ReadFile(s.path(id))
 	if err != nil {
 		return runner.CheckpointEntry{}, false
 	}
-	var m meta
-	if json.Unmarshal(raw, &m) != nil || m.Fingerprint != Fingerprint(id, cfg) {
+	var e entry
+	if json.Unmarshal(raw, &e) != nil || e.Fingerprint != Fingerprint(id, cfg) {
 		return runner.CheckpointEntry{}, false
 	}
-	render, err1 := os.ReadFile(filepath.Join(dir, "render.txt"))
-	csv, err2 := os.ReadFile(filepath.Join(dir, "rows.csv"))
-	jsn, err3 := os.ReadFile(filepath.Join(dir, "rows.json"))
-	if err1 != nil || err2 != nil || err3 != nil {
-		return runner.CheckpointEntry{}, false
-	}
-	entry := runner.CheckpointEntry{
-		Result:  &cachedResult{render: string(render), csv: csv, json: jsn},
-		Elapsed: time.Duration(m.ElapsedNS),
-	}
-	if m.Telemetry {
-		traw, err := os.ReadFile(filepath.Join(dir, "telemetry.json"))
-		if err != nil {
-			return runner.CheckpointEntry{}, false
-		}
-		var snap telemetry.Snapshot
-		if json.Unmarshal(traw, &snap) != nil {
-			return runner.CheckpointEntry{}, false
-		}
-		entry.Telemetry = &snap
-	}
-	return entry, true
+	return runner.CheckpointEntry{
+		Result:    &cachedResult{render: e.Render, csv: e.CSV, json: e.JSON},
+		Elapsed:   time.Duration(e.ElapsedNS),
+		Telemetry: e.Telemetry,
+	}, true
 }
 
-// Save persists rep's artifact under id. The entry is assembled in a
-// sibling temp directory and renamed into place so a crash mid-save
-// cannot leave a half-written entry behind a valid meta.json.
+// Save persists rep's artifact under id as one file, published
+// through atomicfile.
 func (s *Store) Save(id string, cfg runner.Config, rep *runner.ExperimentReport) error {
 	if rep == nil || rep.Result == nil {
 		return fmt.Errorf("checkpoint: %s: no result to save", id)
 	}
-	tmp, err := os.MkdirTemp(s.dir, id+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	defer os.RemoveAll(tmp) // no-op after a successful rename
-
 	var csv, jsn bytes.Buffer
 	if err := rep.Result.CSV(&csv); err != nil {
 		return fmt.Errorf("checkpoint: %s: csv: %w", id, err)
@@ -176,41 +149,22 @@ func (s *Store) Save(id string, cfg runner.Config, rep *runner.ExperimentReport)
 	if err := rep.Result.JSON(&jsn); err != nil {
 		return fmt.Errorf("checkpoint: %s: json: %w", id, err)
 	}
-	files := map[string][]byte{
-		"render.txt": []byte(rep.Result.Render()),
-		"rows.csv":   csv.Bytes(),
-		"rows.json":  jsn.Bytes(),
-	}
-	if rep.Telemetry != nil {
-		traw, err := json.Marshal(rep.Telemetry)
-		if err != nil {
-			return fmt.Errorf("checkpoint: %s: telemetry: %w", id, err)
-		}
-		files["telemetry.json"] = traw
-	}
-	m := meta{
+	raw, err := json.Marshal(&entry{
 		Fingerprint: Fingerprint(id, cfg),
-		ID:          id,
-		Name:        rep.Name,
-		Title:       rep.Title,
 		ElapsedNS:   int64(rep.Elapsed),
-		Telemetry:   rep.Telemetry != nil,
-	}
-	mraw, err := json.MarshalIndent(m, "", "  ")
+		Render:      []byte(rep.Result.Render()),
+		CSV:         csv.Bytes(),
+		JSON:        jsn.Bytes(),
+		Telemetry:   rep.Telemetry,
+	})
 	if err != nil {
-		return fmt.Errorf("checkpoint: %s: meta: %w", id, err)
-	}
-	files["meta.json"] = mraw
-	for name, data := range files {
-		if err := os.WriteFile(filepath.Join(tmp, name), data, 0o644); err != nil {
-			return fmt.Errorf("checkpoint: %s: %w", id, err)
-		}
-	}
-	final := filepath.Join(s.dir, id)
-	if err := os.RemoveAll(final); err != nil {
 		return fmt.Errorf("checkpoint: %s: %w", id, err)
 	}
-	if err := os.Rename(tmp, final); err != nil {
+	err = atomicfile.Write(s.path(id), 0o644, func(f *os.File) error {
+		_, err := f.Write(raw)
+		return err
+	})
+	if err != nil {
 		return fmt.Errorf("checkpoint: %s: %w", id, err)
 	}
 	return nil

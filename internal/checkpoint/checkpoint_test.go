@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mixtime/internal/api"
+	"mixtime/internal/atomicfile"
 	"mixtime/internal/runner"
 	"mixtime/internal/telemetry"
 )
@@ -28,6 +29,20 @@ func (f fakeResult) CSV(w io.Writer) error {
 }
 func (f fakeResult) JSON(w io.Writer) error {
 	_, err := fmt.Fprintf(w, "{%q: %q}\n", "v", string(f))
+	return err
+}
+
+// rawResult emits its three fields verbatim, so a test can hand the
+// store bytes no real driver prints today.
+type rawResult struct{ render, csv, json string }
+
+func (r rawResult) Render() string { return r.render }
+func (r rawResult) CSV(w io.Writer) error {
+	_, err := io.WriteString(w, r.csv)
+	return err
+}
+func (r rawResult) JSON(w io.Writer) error {
+	_, err := io.WriteString(w, r.json)
 	return err
 }
 
@@ -51,28 +66,46 @@ func emit(t *testing.T, r runner.Result) string {
 	return b.String()
 }
 
+// TestSaveLookupRoundTrip: a saved entry replays all three streams
+// byte for byte — including invalid UTF-8 and indented JSON, which a
+// string or json.RawMessage field would rewrite — and is published
+// under mode 0644.
 func TestSaveLookupRoundTrip(t *testing.T) {
-	s, err := Open(t.TempDir())
+	dir := t.TempDir()
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := runner.Config{Seed: api.DefaultSeed}.WithDefaults()
-	rep := report("T1", "payload", 3*time.Second)
-	if err := s.Save("T1", cfg, rep); err != nil {
-		t.Fatal(err)
-	}
-	entry, ok := s.Lookup("T1", cfg)
-	if !ok {
-		t.Fatal("fresh save not found")
-	}
-	if got, want := emit(t, entry.Result), emit(t, rep.Result); got != want {
-		t.Errorf("replayed artifact differs:\n got %q\nwant %q", got, want)
-	}
-	if entry.Elapsed != 3*time.Second {
-		t.Errorf("Elapsed = %v, want 3s", entry.Elapsed)
-	}
-	if entry.Telemetry != nil {
-		t.Errorf("Telemetry = %+v, want nil (uninstrumented save)", entry.Telemetry)
+	for id, res := range map[string]runner.Result{
+		"T1": fakeResult("payload"),
+		"F1": rawResult{
+			render: "µ = 0.97, ε = 1/4 \xff\xfe\n",
+			csv:    "col\n\xc3\x28,\"q\"\n",
+			json:   "{\n  \"rows\": [\n    1,\n    \"\xff\"\n  ]\n}\n",
+		},
+	} {
+		rep := &runner.ExperimentReport{ID: id, Result: res, Elapsed: 3 * time.Second}
+		if err := s.Save(id, cfg, rep); err != nil {
+			t.Fatal(err)
+		}
+		entry, ok := s.Lookup(id, cfg)
+		if !ok {
+			t.Fatalf("%s: fresh save not found", id)
+		}
+		if got, want := emit(t, entry.Result), emit(t, res); got != want {
+			t.Errorf("%s: replayed artifact differs:\n got %q\nwant %q", id, got, want)
+		}
+		if entry.Elapsed != 3*time.Second {
+			t.Errorf("%s: Elapsed = %v, want 3s", id, entry.Elapsed)
+		}
+		if entry.Telemetry != nil {
+			t.Errorf("%s: Telemetry = %+v, want nil (uninstrumented save)", id, entry.Telemetry)
+		}
+		st, err := os.Stat(filepath.Join(dir, id+".json"))
+		if err != nil || st.Mode().Perm() != 0o644 {
+			t.Errorf("%s: entry file %v, %v; want mode 0644", id, st.Mode().Perm(), err)
+		}
 	}
 }
 
@@ -118,20 +151,25 @@ func TestLookupMissesOnTornEntry(t *testing.T) {
 	if err := s.Save("X1", cfg, report("X1", "x", time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	// A crash mid-save never leaves meta.json without its artifacts —
-	// but a corrupted directory might; Lookup must shrug it off.
-	if err := os.Remove(filepath.Join(dir, "X1", "rows.csv")); err != nil {
+	// A crash mid-save never publishes a partial entry — but a
+	// corrupted file might; Lookup must shrug it off.
+	path := filepath.Join(dir, "X1.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Lookup("X1", cfg); ok {
-		t.Error("torn entry (missing rows.csv) replayed")
+		t.Error("truncated entry replayed")
 	}
-	// Corrupt meta.json → miss, not error.
-	if err := os.WriteFile(filepath.Join(dir, "X1", "meta.json"), []byte("{"), 0o644); err != nil {
+	// Corrupt entry → miss, not error.
+	if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Lookup("X1", cfg); ok {
-		t.Error("corrupt meta.json replayed")
+		t.Error("corrupt entry replayed")
 	}
 	// Absent entry → miss.
 	if _, ok := s.Lookup("NOPE", cfg); ok {
@@ -181,9 +219,9 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 	}
 }
 
-// TestOpenRemovesCrashedSaveLeftovers: a save killed before its
-// deferred cleanup leaves an <id>.tmp-* directory; reopening the
-// store removes it and keeps the committed entries.
+// TestOpenRemovesCrashedSaveLeftovers: a save killed mid-write leaves
+// an atomicfile temp file; reopening the store removes it and keeps
+// the committed entries.
 func TestOpenRemovesCrashedSaveLeftovers(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -193,11 +231,11 @@ func TestOpenRemovesCrashedSaveLeftovers(t *testing.T) {
 	if err := s.Save("T1", runner.Config{}, report("T1", "kept", time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	leftover := filepath.Join(dir, "F1.tmp-123456")
-	if err := os.MkdirAll(leftover, 0o755); err != nil {
-		t.Fatal(err)
+	leftover := filepath.Join(dir, ".F1.json.123456.tmp")
+	if !atomicfile.IsTemp(leftover) {
+		t.Fatalf("%s is not an atomicfile temp name", leftover)
 	}
-	if err := os.WriteFile(filepath.Join(leftover, "render.txt"), []byte("torn"), 0o644); err != nil {
+	if err := os.WriteFile(leftover, []byte(`{"fingerprint":`), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	s, err = Open(dir)
@@ -205,7 +243,7 @@ func TestOpenRemovesCrashedSaveLeftovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
-		t.Fatalf("leftover temp dir survived reopen: %v", err)
+		t.Fatalf("leftover temp file survived reopen: %v", err)
 	}
 	if _, ok := s.Lookup("T1", runner.Config{}); !ok {
 		t.Fatal("committed entry lost on reopen")

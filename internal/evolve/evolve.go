@@ -98,21 +98,6 @@ func (mg *MutableGraph) Version() Version {
 	return mg.ver
 }
 
-// NumNodes returns the current node-range size (including any
-// isolated vertices a deletion left behind).
-func (mg *MutableGraph) NumNodes() int {
-	mg.mu.RLock()
-	defer mg.mu.RUnlock()
-	return mg.g.NumNodes()
-}
-
-// NumEdges returns the current undirected edge count.
-func (mg *MutableGraph) NumEdges() int64 {
-	mg.mu.RLock()
-	defer mg.mu.RUnlock()
-	return mg.m
-}
-
 // Apply rebuilds the graph with the batch applied and bumps the
 // version. The rebuild streams the surviving edges of the current
 // epoch plus the effective inserts through graph.Builder, so the new

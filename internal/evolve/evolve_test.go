@@ -118,7 +118,7 @@ func checkInvariants(t *testing.T, mg *MutableGraph) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("epoch invalid: %v", err)
 	}
-	if got, want := mg.NumEdges(), g.NumEdges(); got != want {
+	if got, want := mg.m, g.NumEdges(); got != want {
 		t.Fatalf("tracked edge count %d != graph %d", got, want)
 	}
 }
@@ -128,7 +128,8 @@ func checkInvariants(t *testing.T, mg *MutableGraph) {
 func applyRandomBatches(t *testing.T, mg *MutableGraph, rng *rand.Rand, rounds int) {
 	t.Helper()
 	for r := 0; r < rounds; r++ {
-		n := mg.NumNodes()
+		g, _ := mg.Snapshot()
+		n := g.NumNodes()
 		var b Batch
 		for i := rng.IntN(6); i > 0; i-- {
 			// Occasionally reference a node just past the range to
@@ -142,7 +143,6 @@ func applyRandomBatches(t *testing.T, mg *MutableGraph, rng *rand.Rand, rounds i
 				V: graph.NodeID(rng.IntN(hi)),
 			})
 		}
-		g, _ := mg.Snapshot()
 		for i := rng.IntN(4); i > 0; i-- {
 			// Bias deletes toward existing edges so they actually fire.
 			u := graph.NodeID(rng.IntN(n))

@@ -42,7 +42,7 @@ func boundCurves(ctx context.Context, ds []datasets.Dataset, cfg Config, obs run
 		}
 		out = append(out, c)
 		runner.Emit(obs, runner.Event{Kind: runner.KindDatasetDone, Dataset: d.Name,
-			Stage: "spectral", Done: i + 1, Total: len(ds), Iterations: est.Iterations})
+			Done: i + 1, Total: len(ds)})
 	}
 	return out, nil
 }

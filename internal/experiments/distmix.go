@@ -161,7 +161,7 @@ func DistMixValidationContext(ctx context.Context, cfg Config, obs runner.Observ
 			OffShardBytes:    res.Stats.OffShardBytes,
 		})
 		runner.Emit(obs, runner.Event{Kind: runner.KindDatasetDone, Dataset: d.Name,
-			Stage: "distmix", Done: i + 1, Total: len(all), Iterations: res.Stats.Rounds})
+			Done: i + 1, Total: len(all)})
 	}
 	return rows, nil
 }
@@ -311,7 +311,7 @@ func DistMixTradeoffContext(ctx context.Context, cfg Config, obs runner.Observer
 			}
 		}
 		runner.Emit(obs, runner.Event{Kind: runner.KindDatasetDone, Dataset: name,
-			Stage: "distmix", Done: i + 1, Total: len(d2Datasets)})
+			Done: i + 1, Total: len(d2Datasets)})
 	}
 	return rows, nil
 }

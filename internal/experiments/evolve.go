@@ -132,7 +132,7 @@ func EvolveGrowthContext(ctx context.Context, cfg Config, obs runner.Observer) (
 			UpperT:      s.UpperT,
 		})
 		runner.Emit(obs, runner.Event{Kind: runner.KindDatasetDone, Dataset: "evolve-growth",
-			Stage: "epoch", Done: e + 1, Total: e1Epochs, Iterations: s.WarmIters})
+			Done: e + 1, Total: e1Epochs})
 	}
 	return rows, nil
 }
@@ -278,7 +278,7 @@ func EvolveAttackContext(ctx context.Context, cfg Config, obs runner.Observer) (
 				UpperT:      s.UpperT,
 			})
 			runner.Emit(obs, runner.Event{Kind: runner.KindDatasetDone, Dataset: name,
-				Stage: "attack-epoch", Done: ei + 1, Total: len(targets), Iterations: s.WarmIters})
+				Done: ei + 1, Total: len(targets)})
 		}
 	}
 	return rows, nil

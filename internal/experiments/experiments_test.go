@@ -217,7 +217,7 @@ func TestFigure8(t *testing.T) {
 func TestSybilAttack(t *testing.T) {
 	cfg := SybilAttackConfig{Config: tiny, Nodes: 300, SybilNodes: 80,
 		AttackEdges: 5, R0: 2, Walks: []int{2, 8, 16}}
-	rows, err := SybilAttackContext(context.Background(), cfg, nil)
+	rows, err := SybilAttackContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,9 +70,8 @@ func (c SybilAttackConfig) withDefaults() SybilAttackConfig {
 // SybilAttackContext runs the extension experiment: SybilLimit under
 // attack across walk lengths, reporting the escape-based sybil bound
 // the paper's discussion derives (accepted sybils ≈ t·g as long as
-// g < n/w). ctx is checked per walk length and each finished walk
-// length reports as a KindStageProgress.
-func SybilAttackContext(ctx context.Context, cfg SybilAttackConfig, obs runner.Observer) ([]SybilAttackRow, error) {
+// g < n/w). ctx is checked per walk length.
+func SybilAttackContext(ctx context.Context, cfg SybilAttackConfig) ([]SybilAttackRow, error) {
 	cfg = cfg.withDefaults()
 	d, err := datasets.ByName(cfg.Dataset)
 	if err != nil {
@@ -89,7 +88,7 @@ func SybilAttackContext(ctx context.Context, cfg SybilAttackConfig, obs runner.O
 	attack := sybil.NewAttack(honest, sybilRegion, cfg.AttackEdges, rng)
 
 	var rows []SybilAttackRow
-	for i, w := range cfg.Walks {
+	for _, w := range cfg.Walks {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("experiments: attack cancelled at w=%d: %w", w, err)
 		}
@@ -97,8 +96,6 @@ func SybilAttackContext(ctx context.Context, cfg SybilAttackConfig, obs runner.O
 		if err != nil {
 			return nil, fmt.Errorf("experiments: attack w=%d: %w", w, err)
 		}
-		runner.Emit(obs, runner.Event{Kind: runner.KindStageProgress, Dataset: cfg.Dataset,
-			Stage: "walks", Done: i + 1, Total: len(cfg.Walks)})
 		rows = append(rows, SybilAttackRow{
 			W:              w,
 			HonestRate:     float64(out.HonestAccepted) / float64(out.HonestTotal),
@@ -167,7 +164,7 @@ func ConductanceContext(ctx context.Context, cfg Config, obs runner.Observer) ([
 			SweepNodes: cut.Size,
 		})
 		runner.Emit(obs, runner.Event{Kind: runner.KindDatasetDone, Dataset: d.Name,
-			Done: i + 1, Total: len(small), Iterations: est.Iterations})
+			Done: i + 1, Total: len(small)})
 	}
 	return rows, nil
 }

@@ -87,8 +87,7 @@ func Figure6Context(ctx context.Context, cfg Config, obs runner.Observer) ([]Fig
 		row.MeanTV = traceMeanAtWalks(traces, walks)
 		rows = append(rows, row)
 		runner.Emit(obs, runner.Event{Kind: runner.KindDatasetDone,
-			Dataset: fmt.Sprintf("dblp-%d", level), Done: level, Total: 5,
-			Iterations: est.Iterations})
+			Dataset: fmt.Sprintf("dblp-%d", level), Done: level, Total: 5})
 	}
 	return rows, nil
 }

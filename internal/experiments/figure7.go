@@ -102,7 +102,7 @@ func Figure7Context(ctx context.Context, cfg Config, obs runner.Observer) ([]Fig
 			panels = append(panels, p)
 			runner.Emit(obs, runner.Event{Kind: runner.KindDatasetDone,
 				Dataset: fmt.Sprintf("%s/%d", name, paperSize),
-				Done:    len(panels), Total: totalPanels, Iterations: est.Iterations})
+				Done:    len(panels), Total: totalPanels})
 		}
 	}
 	return panels, nil

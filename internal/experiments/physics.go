@@ -29,21 +29,13 @@ type DistanceCDF struct {
 // traces from up to cfg.Sources vertices (every vertex when the scaled
 // graph is small enough — the paper's brute force), propagated only as
 // far as the longest probe walk the figure reads, and the SLEM only
-// when the figure prints µ (withSLEM). Source completions stream to
-// obs as KindStageProgress events.
-func measurePhysics(ctx context.Context, name string, walks []int, withSLEM bool, cfg Config, obs runner.Observer) (*core.Measurement, error) {
+// when the figure prints µ (withSLEM).
+func measurePhysics(ctx context.Context, name string, walks []int, withSLEM bool, cfg Config) (*core.Measurement, error) {
 	d, err := datasets.ByName(name)
 	if err != nil {
 		return nil, err
 	}
 	g := d.Generate(cfg.Scale, cfg.Seed)
-	var progress func(stage string, done, total int)
-	if obs != nil {
-		progress = func(stage string, done, total int) {
-			runner.Emit(obs, runner.Event{Kind: runner.KindStageProgress,
-				Dataset: name, Stage: stage, Done: done, Total: total})
-		}
-	}
 	return core.MeasureContext(ctx, g, core.Options{
 		Sources:      cfg.Sources,
 		MaxWalk:      min(cfg.MaxWalk, slices.Max(walks)),
@@ -52,7 +44,6 @@ func measurePhysics(ctx context.Context, name string, walks []int, withSLEM bool
 		SkipSpectral: !withSLEM,
 		Workers:      cfg.Workers,
 		BlockSize:    cfg.BlockSize,
-		Progress:     progress,
 		Collector:    cfg.Collector,
 	})
 }
@@ -74,7 +65,7 @@ func physicsCDFs(ctx context.Context, names []string, walks []int, cfg Config, o
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("experiments: cancelled before %s: %w", name, err)
 		}
-		m, err := measurePhysics(ctx, name, walks, false, cfg, obs)
+		m, err := measurePhysics(ctx, name, walks, false, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", name, err)
 		}
@@ -141,7 +132,7 @@ func Figure5Context(ctx context.Context, cfg Config, obs runner.Observer) ([]Fig
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("experiments: figure5 cancelled before %s: %w", name, err)
 		}
-		m, err := measurePhysics(ctx, name, walks, true, cfg, obs)
+		m, err := measurePhysics(ctx, name, walks, true, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", name, err)
 		}

@@ -124,7 +124,7 @@ func init() {
 			}, RenderFig8, Fig8CSV),
 		define("X1", "attack", "SybilLimit under attack: honest admission vs tail escapes",
 			func(ctx context.Context, cfg Config, obs runner.Observer) ([]SybilAttackRow, error) {
-				return SybilAttackContext(ctx, SybilAttackConfig{Config: cfg}, obs)
+				return SybilAttackContext(ctx, SybilAttackConfig{Config: cfg})
 			}, RenderSybilAttack, SybilAttackCSV),
 		define("X2", "conductance", "Conductance: Cheeger bounds and spectral sweep cuts",
 			ConductanceContext, RenderConductance, ConductanceCSV),

@@ -56,7 +56,7 @@ func Table1Context(ctx context.Context, cfg Config, obs runner.Observer) ([]Tabl
 			Converged:  est.Converged,
 		})
 		runner.Emit(obs, runner.Event{Kind: runner.KindDatasetDone, Dataset: d.Name,
-			Stage: "spectral", Done: i + 1, Total: len(all), Iterations: est.Iterations})
+			Done: i + 1, Total: len(all)})
 	}
 	return rows, nil
 }

@@ -31,6 +31,7 @@ import (
 	"strconv"
 	"strings"
 
+	"mixtime/internal/atomicfile"
 	"mixtime/internal/graph"
 )
 
@@ -172,34 +173,28 @@ func LoadFile(path string) (*graph.Graph, error) {
 
 // SaveFile writes a graph to path: binary if the name ends in .mixg
 // (optionally .mixg.gz), edge-list text otherwise (optionally .gz).
+// The file is published through atomicfile, so a reader holding the
+// previous file at path (open, or mapped by OpenMIXGMapped) keeps
+// reading its bytes, and a failed save leaves path as it was.
 func SaveFile(path string, g *graph.Graph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var w io.Writer = f
-	var zw *gzip.Writer
-	if strings.HasSuffix(path, ".gz") {
-		zw = gzip.NewWriter(f)
-		defer zw.Close()
-		w = zw
-	}
-	name := strings.TrimSuffix(path, ".gz")
-	if strings.HasSuffix(name, ".mixg") {
-		err = WriteBinary(w, g)
-	} else {
-		err = WriteEdgeList(w, g)
-	}
-	if err != nil {
-		return err
-	}
-	if zw != nil {
-		if err := zw.Close(); err != nil {
-			return err
+	return atomicfile.Write(path, 0o644, func(f *os.File) error {
+		var w io.Writer = f
+		var zw *gzip.Writer
+		if strings.HasSuffix(path, ".gz") {
+			zw = gzip.NewWriter(f)
+			w = zw
 		}
-	}
-	return f.Close()
+		var err error
+		if strings.HasSuffix(strings.TrimSuffix(path, ".gz"), ".mixg") {
+			err = WriteBinary(w, g)
+		} else {
+			err = WriteEdgeList(w, g)
+		}
+		if err == nil && zw != nil {
+			err = zw.Close()
+		}
+		return err
+	})
 }
 
 const (

@@ -7,6 +7,7 @@ import (
 	"os"
 	"unsafe"
 
+	"mixtime/internal/atomicfile"
 	"mixtime/internal/graph"
 )
 
@@ -169,11 +170,14 @@ type EdgeStream func(emit func(u, v graph.NodeID) error) error
 // file — lex order makes every node's arrivals ascending, so the
 // placed lists are sorted and the file is byte-identical to
 // WriteBinary of the same graph. Platforms without mmap fall back to
-// an in-RAM adjacency array (correct, not O(n)).
+// an in-RAM adjacency array (correct, not O(n)). The snapshot is
+// published through atomicfile, so a reader holding the previous
+// file at path (open or mapped) keeps reading its bytes.
 //
 // The stream is validated as it plays: out-of-range endpoints,
 // self-loops, unordered or duplicate pairs, and pass-2 output that
-// diverges from pass 1 all abort with an error (the file is removed).
+// diverges from pass 1 all abort with an error (path is left as it
+// was).
 func WriteMIXGStreamed(path string, n uint64, stream EdgeStream) error {
 	if n > MaxLoadNodes {
 		return fmt.Errorf("graphio: node count %d exceeds load limit %d", n, MaxLoadNodes)
@@ -201,37 +205,36 @@ func WriteMIXGStreamed(path string, n uint64, stream EdgeStream) error {
 	if err != nil {
 		return err
 	}
-	nOff, nAdj := graph.CSRSizes(int64(n), m)
-	if uint64(nAdj) > uint64(^uint32(0)) {
+	if _, nAdj := graph.CSRSizes(int64(n), m); uint64(nAdj) > uint64(^uint32(0)) {
 		return fmt.Errorf("graphio: adjacency length %d exceeds the uint32 CSR form", nAdj)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	abort := func(err error) error {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
+	return atomicfile.Write(path, 0o644, func(f *os.File) error {
+		return placeMIXG(f, n, m, deg, stream)
+	})
+}
 
+// placeMIXG writes the snapshot of WriteMIXGStreamed's pass 2 into f:
+// header and offsets from the pass-1 degrees deg (reused as placement
+// cursors), then the adjacency scattered from a replay of stream.
+func placeMIXG(f *os.File, n uint64, m int64, deg []uint32, stream EdgeStream) error {
+	nOff, nAdj := graph.CSRSizes(int64(n), m)
 	// Header and offsets stream sequentially.
 	bw := bufio.NewWriterSize(f, 1<<20)
 	if _, err := bw.WriteString(binMagic); err != nil {
-		return abort(err)
+		return err
 	}
 	var b8 [8]byte
 	binary.LittleEndian.PutUint32(b8[:4], 2)
 	if _, err := bw.Write(b8[:4]); err != nil {
-		return abort(err)
+		return err
 	}
 	binary.LittleEndian.PutUint64(b8[:], n)
 	if _, err := bw.Write(b8[:]); err != nil {
-		return abort(err)
+		return err
 	}
 	binary.LittleEndian.PutUint64(b8[:], uint64(m))
 	if _, err := bw.Write(b8[:]); err != nil {
-		return abort(err)
+		return err
 	}
 	// cursor[v] doubles as the running CSR offset: prefix sums now,
 	// per-placement increments in pass 2.
@@ -242,30 +245,30 @@ func WriteMIXGStreamed(path string, n uint64, stream EdgeStream) error {
 		cursor[v] = uint32(sum)
 		binary.LittleEndian.PutUint64(b8[:], sum)
 		if _, err := bw.Write(b8[:]); err != nil {
-			return abort(err)
+			return err
 		}
 		sum += d
 	}
 	binary.LittleEndian.PutUint64(b8[:], sum)
 	if _, err := bw.Write(b8[:]); err != nil {
-		return abort(err)
+		return err
 	}
 	if err := bw.Flush(); err != nil {
-		return abort(err)
+		return err
 	}
 
 	total := int64(binHeaderLen) + 8*nOff + 4*nAdj
 	if err := f.Truncate(total); err != nil {
-		return abort(err)
+		return err
 	}
 	adjOff := int64(binHeaderLen) + 8*nOff
 
 	var adj []graph.NodeID // the scatter target, file-backed when mmap works
 	var mapped []byte
 	if mmapSupported && hostLittleEndian && nAdj > 0 {
-		mapped, err = mmapWrite(f, total)
-		if err != nil {
-			return abort(fmt.Errorf("graphio: mmap for write: %w", err))
+		var err error
+		if mapped, err = mmapWrite(f, total); err != nil {
+			return fmt.Errorf("graphio: mmap for write: %w", err)
 		}
 		adj = unsafe.Slice((*graph.NodeID)(unsafe.Pointer(&mapped[adjOff])), nAdj)
 	} else if nAdj > 0 {
@@ -276,7 +279,7 @@ func WriteMIXGStreamed(path string, n uint64, stream EdgeStream) error {
 	// smaller neighbors in ascending u, then its larger neighbors in
 	// ascending v — sorted, because the stream is lex-ordered.
 	var replayed int64
-	err = stream(func(u, v graph.NodeID) error {
+	err := stream(func(u, v graph.NodeID) error {
 		if replayed++; replayed > m {
 			return fmt.Errorf("graphio: stream replay produced more than %d edges", m)
 		}
@@ -292,30 +295,24 @@ func WriteMIXGStreamed(path string, n uint64, stream EdgeStream) error {
 	if err == nil && replayed != m {
 		err = fmt.Errorf("graphio: stream replay produced %d edges, first pass %d", replayed, m)
 	}
-	if err != nil {
-		if mapped != nil {
-			munmap(mapped)
-		}
-		return abort(err)
-	}
 	if mapped != nil {
-		if err := munmap(mapped); err != nil {
-			return abort(err)
+		if uerr := munmap(mapped); err == nil {
+			err = uerr
 		}
-	} else if nAdj > 0 {
-		buf := bufio.NewWriterSize(&sectionWriter{f: f, off: adjOff}, 1<<20)
-		var b4 [4]byte
-		for _, v := range adj {
-			binary.LittleEndian.PutUint32(b4[:], uint32(v))
-			if _, err := buf.Write(b4[:]); err != nil {
-				return abort(err)
-			}
-		}
-		if err := buf.Flush(); err != nil {
-			return abort(err)
+		return err
+	}
+	if err != nil || nAdj == 0 {
+		return err
+	}
+	buf := bufio.NewWriterSize(&sectionWriter{f: f, off: adjOff}, 1<<20)
+	var b4 [4]byte
+	for _, v := range adj {
+		binary.LittleEndian.PutUint32(b4[:], uint32(v))
+		if _, err := buf.Write(b4[:]); err != nil {
+			return err
 		}
 	}
-	return f.Close()
+	return buf.Flush()
 }
 
 // sectionWriter adapts WriteAt into a sequential Writer starting at

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"testing"
 
 	"mixtime/internal/gen"
@@ -330,5 +331,69 @@ func TestWriteMIXGStreamedEmptyAndIsolated(t *testing.T) {
 	}
 	if g.NumNodes() != 5 || g.NumEdges() != 0 {
 		t.Fatalf("got %v, want 5 nodes / 0 edges", g)
+	}
+}
+
+// TestRewriteKeepsMappedReader: SaveFile and WriteMIXGStreamed each
+// rewrite, with a much smaller graph, a snapshot that OpenMIXGMapped
+// holds — as `mixtimed -mmap` holds its snapshots while a new one is
+// saved. Every adjacency entry of the mapped graph must still read
+// the old snapshot, and the path must hold the new one under mode
+// 0644. A writer that truncated the file in place would fault the
+// reader past the new end of file (SIGBUS).
+func TestRewriteKeepsMappedReader(t *testing.T) {
+	if !mmapSupported || !hostLittleEndian {
+		t.Skip("no memory mapping on this platform")
+	}
+	old := gen.WattsStrogatz(2000, 8, 0.3, rand.New(rand.NewPCG(5, 5)))
+	small := gen.Ring(3)
+	writers := map[string]func(path string) error{
+		"SaveFile": func(path string) error { return SaveFile(path, small) },
+		"WriteMIXGStreamed": func(path string) error {
+			return WriteMIXGStreamed(path, uint64(small.NumNodes()), graphStream(small))
+		},
+	}
+	for name, rewrite := range writers {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "g.mixg")
+			if err := SaveFile(path, old); err != nil {
+				t.Fatal(err)
+			}
+			mg, err := OpenMIXGMapped(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mg.Close()
+			if !mg.Mapped() {
+				t.Fatal("snapshot not mapped")
+			}
+			if err := rewrite(path); err != nil {
+				t.Fatal(err)
+			}
+			// A fault reading the mapping panics instead of killing the
+			// test binary, so a truncating writer fails here by name.
+			defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("reading the mapped graph after the rewrite faulted: %v", r)
+					}
+				}()
+				want, got := old.Adjacency(), mg.Adjacency()
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("mapped adjacency[%d] = %d after the rewrite, want %d", i, got[i], want[i])
+					}
+				}
+			}()
+			g, err := LoadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalCSR(t, small, g)
+			if st, err := os.Stat(path); err != nil || st.Mode().Perm() != 0o644 {
+				t.Errorf("rewritten snapshot: %v, %v; want mode 0644", st.Mode().Perm(), err)
+			}
+		})
 	}
 }

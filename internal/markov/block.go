@@ -414,26 +414,8 @@ func (c *Chain) TraceSampleBlockedContext(ctx context.Context, sources []graph.N
 	n := c.g.NumNodes()
 	traces := make([]*Trace, total)
 
-	if workers <= 1 {
-		buf := newBlockBuffers(n, blockSize)
-		for b := 0; b < blocks; b++ {
-			lo := b * blockSize
-			hi := lo + blockSize
-			if hi > total {
-				hi = total
-			}
-			trs, err := c.traceBlock(ctx, sources[lo:hi], maxT, eps, buf)
-			if err != nil {
-				return nil, fmt.Errorf("markov: blocked trace sampling cancelled after %d of %d sources: %w", lo, total, err)
-			}
-			copy(traces[lo:hi], trs)
-			if onTrace != nil {
-				onTrace(hi, total)
-			}
-		}
-		return traces, nil
-	}
-
+	// One worker claims the blocks in order with one set of buffers —
+	// the sequential schedule; more claim them concurrently.
 	var (
 		next atomic.Int64
 		mu   sync.Mutex

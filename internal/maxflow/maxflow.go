@@ -37,9 +37,6 @@ func NewNetwork(n int) *Network {
 	return &Network{n: n, heads: make([][]int32, n)}
 }
 
-// NumNodes returns the node count.
-func (nw *Network) NumNodes() int { return nw.n }
-
 // AddEdge adds a directed edge u→v with the given capacity (and the
 // implicit residual reverse edge of capacity 0). It returns the edge
 // handle for later inspection via Flow.

@@ -3,34 +3,20 @@ package runner
 import (
 	"sync"
 	"time"
-
-	"mixtime/internal/telemetry"
 )
 
 // EventKind classifies a progress event.
 type EventKind int
 
 const (
-	// KindRunStarted opens a run; Total carries the experiment count.
-	KindRunStarted EventKind = iota
-	// KindRunFinished closes a run; Elapsed is the wall time.
-	KindRunFinished
 	// KindExperimentStarted fires when a worker picks an experiment up.
-	KindExperimentStarted
+	KindExperimentStarted EventKind = iota
 	// KindExperimentFinished fires when an experiment returns; Err is
 	// its error (nil on success) and Elapsed its wall time.
 	KindExperimentFinished
 	// KindDatasetDone fires when a driver finishes one dataset (or
-	// dataset-sized unit of work); Done/Total count datasets and
-	// Iterations carries stage iteration counters (e.g. SLEM matvecs).
+	// dataset-sized unit of work); Done/Total count datasets.
 	KindDatasetDone
-	// KindStageProgress reports fine-grained progress inside a stage,
-	// e.g. sources completed during trace propagation.
-	KindStageProgress
-	// KindTelemetry fires after an instrumented experiment finishes
-	// (Config.Collector non-nil); Telemetry carries that experiment's
-	// counter snapshot.
-	KindTelemetry
 	// KindAttemptFailed fires when one attempt of an experiment fails;
 	// Attempt is the 1-based attempt number, Err the failure and
 	// Elapsed the attempt's wall time. The experiment may still
@@ -52,20 +38,12 @@ const (
 // String names the kind for logs.
 func (k EventKind) String() string {
 	switch k {
-	case KindRunStarted:
-		return "run-started"
-	case KindRunFinished:
-		return "run-finished"
 	case KindExperimentStarted:
 		return "experiment-started"
 	case KindExperimentFinished:
 		return "experiment-finished"
 	case KindDatasetDone:
 		return "dataset-done"
-	case KindStageProgress:
-		return "stage-progress"
-	case KindTelemetry:
-		return "telemetry"
 	case KindAttemptFailed:
 		return "attempt-failed"
 	case KindRetrying:
@@ -88,23 +66,16 @@ type Event struct {
 	Experiment string
 	// Dataset names the dataset the event concerns, if any.
 	Dataset string
-	// Stage names the driver stage ("spectral", "sampling", ...).
-	Stage string
-	// Done/Total count completed units (datasets, sources, ...).
+	// Done/Total count completed units (datasets, panels, epochs).
 	Done, Total int
-	// Iterations carries iteration counters (e.g. SLEM matvecs).
-	Iterations int
 	// Attempt is the 1-based attempt number on KindAttemptFailed (the
 	// attempt that failed) and KindRetrying (the attempt about to
 	// start) events.
 	Attempt int
 	// Elapsed is the wall time of the finished unit, when measured.
 	Elapsed time.Duration
-	// Err is the failure attached to a finished experiment or run.
+	// Err is the failure attached to a finished experiment.
 	Err error
-	// Telemetry is the experiment's counter snapshot on KindTelemetry
-	// events (nil otherwise).
-	Telemetry *telemetry.Snapshot
 }
 
 // Observer receives progress events. Implementations used with the

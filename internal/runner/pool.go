@@ -55,13 +55,3 @@ func (p *Pool) TryAcquire() bool {
 func (p *Pool) Release() {
 	<-p.slots
 }
-
-// Do runs fn while holding a slot, propagating the acquisition error
-// when the pool could not be entered.
-func (p *Pool) Do(ctx context.Context, fn func() error) error {
-	if err := p.Acquire(ctx); err != nil {
-		return err
-	}
-	defer p.Release()
-	return fn()
-}

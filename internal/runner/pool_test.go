@@ -19,20 +19,20 @@ func TestPoolBound(t *testing.T) {
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer wg.Done()
-			if err := p.Do(context.Background(), func() error {
-				cur := inFlight.Add(1)
-				for {
-					old := peak.Load()
-					if cur <= old || peak.CompareAndSwap(old, cur) {
-						break
-					}
-				}
-				time.Sleep(time.Millisecond)
-				inFlight.Add(-1)
-				return nil
-			}); err != nil {
+			if err := p.Acquire(context.Background()); err != nil {
 				t.Error(err)
+				return
 			}
+			defer p.Release()
+			cur := inFlight.Add(1)
+			for {
+				old := peak.Load()
+				if cur <= old || peak.CompareAndSwap(old, cur) {
+					break
+				}
+			}
+			time.Sleep(time.Millisecond)
+			inFlight.Add(-1)
 		}()
 	}
 	wg.Wait()

@@ -351,7 +351,6 @@ func (r *Runner) Run(ctx context.Context, cfg Config, keys ...string) (*Report, 
 	obs := &lockedObserver{inner: r.Observer}
 	reports := make([]ExperimentReport, len(defs))
 	start := time.Now()
-	Emit(obs, Event{Kind: KindRunStarted, Total: len(defs)})
 
 	var (
 		mu   sync.Mutex
@@ -388,8 +387,6 @@ func (r *Runner) Run(ctx context.Context, cfg Config, keys ...string) (*Report, 
 						if cfg.Collector != nil && entry.Telemetry != nil {
 							rep.Telemetry = entry.Telemetry
 							cfg.Collector.Merge(*entry.Telemetry)
-							Emit(obs, Event{Kind: KindTelemetry, Experiment: d.ID,
-								Telemetry: entry.Telemetry})
 						}
 						continue
 					}
@@ -412,7 +409,6 @@ func (r *Runner) Run(ctx context.Context, cfg Config, keys ...string) (*Report, 
 					snap := cfgi.Collector.Snapshot()
 					rep.Telemetry = &snap
 					cfg.Collector.Merge(snap)
-					Emit(obs, Event{Kind: KindTelemetry, Experiment: d.ID, Telemetry: &snap})
 				}
 				if r.Checkpoint != nil && err == nil {
 					if serr := r.Checkpoint.Save(d.ID, cfg, rep); serr != nil {
@@ -425,7 +421,6 @@ func (r *Runner) Run(ctx context.Context, cfg Config, keys ...string) (*Report, 
 	wg.Wait()
 
 	report := &Report{Experiments: reports, Wall: time.Since(start), Jobs: jobs}
-	Emit(obs, Event{Kind: KindRunFinished, Total: len(defs), Elapsed: report.Wall})
 	if err := ctx.Err(); err != nil {
 		done := 0
 		for _, e := range reports {

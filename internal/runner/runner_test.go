@@ -200,14 +200,12 @@ func TestRunnerObserverEventsAreStampedAndSerialized(t *testing.T) {
 		events[e.Kind] = append(events[e.Kind], e)
 	})
 	r := &Runner{Registry: reg, Jobs: 3, Observer: obs}
-	if _, err := r.Run(context.Background(), Config{}); err != nil {
+	rp, err := r.Run(context.Background(), Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(events[KindRunStarted]); n != 1 {
-		t.Errorf("run-started events = %d, want 1", n)
-	}
-	if n := len(events[KindRunFinished]); n != 1 {
-		t.Errorf("run-finished events = %d, want 1", n)
+	if n := len(rp.Experiments); n != 3 || rp.Wall <= 0 {
+		t.Errorf("report: %d experiments, wall %v; want 3 and a positive wall time", n, rp.Wall)
 	}
 	if n := len(events[KindExperimentStarted]); n != 3 {
 		t.Errorf("experiment-started events = %d, want 3", n)

@@ -24,21 +24,14 @@ func instrumentedRun(out string, matvecs, edges int64) RunFunc {
 // TestRunnerChildCollectorsMergeIntoParent verifies the attribution
 // scheme: each experiment gets a fresh child collector (so parallel
 // experiments don't blur together), its snapshot lands on the
-// experiment report and a KindTelemetry event, and the run-wide
-// parent holds the merged totals.
+// experiment report, and the run-wide parent holds the merged totals.
 func TestRunnerChildCollectorsMergeIntoParent(t *testing.T) {
 	reg := NewRegistry()
 	reg.MustRegister(Def{ID: "A", Run: instrumentedRun("a", 10, 1000)})
 	reg.MustRegister(Def{ID: "B", Run: instrumentedRun("b", 32, 4096)})
 
-	var events []Event
-	obs := ObserverFunc(func(e Event) {
-		if e.Kind == KindTelemetry {
-			events = append(events, e)
-		}
-	})
 	parent := telemetry.New()
-	r := &Runner{Registry: reg, Jobs: 2, Observer: obs}
+	r := &Runner{Registry: reg, Jobs: 2}
 	rp, err := r.Run(context.Background(), Config{Collector: parent})
 	if err != nil {
 		t.Fatal(err)
@@ -65,39 +58,20 @@ func TestRunnerChildCollectorsMergeIntoParent(t *testing.T) {
 	if got := merged.Get(telemetry.EdgesScanned); got != 5096 {
 		t.Errorf("merged edges = %d, want 5096", got)
 	}
-
-	if len(events) != 2 {
-		t.Fatalf("KindTelemetry events = %d, want 2", len(events))
-	}
-	for _, e := range events {
-		if e.Telemetry == nil || e.Experiment == "" {
-			t.Errorf("telemetry event not stamped/filled: %+v", e)
-		}
-	}
 }
 
 // TestRunnerNoCollectorMeansNoTelemetry pins the opt-in contract: an
-// uninstrumented run carries no snapshots and emits no telemetry
-// events.
+// uninstrumented run carries no snapshots.
 func TestRunnerNoCollectorMeansNoTelemetry(t *testing.T) {
 	reg := NewRegistry()
 	reg.MustRegister(Def{ID: "A", Run: instrumentedRun("a", 10, 1000)})
-	var telemetryEvents int
-	obs := ObserverFunc(func(e Event) {
-		if e.Kind == KindTelemetry {
-			telemetryEvents++
-		}
-	})
-	r := &Runner{Registry: reg, Observer: obs}
+	r := &Runner{Registry: reg}
 	rp, err := r.Run(context.Background(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rp.Experiments[0].Telemetry != nil {
 		t.Error("uninstrumented run grew a telemetry snapshot")
-	}
-	if telemetryEvents != 0 {
-		t.Errorf("uninstrumented run emitted %d telemetry events", telemetryEvents)
 	}
 }
 

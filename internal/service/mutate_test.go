@@ -12,8 +12,8 @@ import (
 )
 
 // newMutableServer is newTestServer with the served graph registered
-// mutable.
-func newMutableServer(t *testing.T) (*Server, *api.Client) {
+// mutable; it returns the collector it hands the server.
+func newMutableServer(t *testing.T) (*telemetry.Collector, *api.Client) {
 	t.Helper()
 	reg := NewRegistry()
 	if _, err := reg.AddDataset("physics-1", 0.002, 1); err != nil {
@@ -31,7 +31,7 @@ func newMutableServer(t *testing.T) (*Server, *api.Client) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return s, api.NewClient(ts.URL)
+	return col, api.NewClient(ts.URL)
 }
 
 // TestMutateEvictsCache pins the acceptance sequence end to end: a
@@ -39,7 +39,7 @@ func newMutableServer(t *testing.T) (*Server, *api.Client) {
 // cached result, and the repeated query misses again under a new
 // version-stamped fingerprint — with exactly one additional solve.
 func TestMutateEvictsCache(t *testing.T) {
-	s, c := newMutableServer(t)
+	col, c := newMutableServer(t)
 	ctx := context.Background()
 	req := api.Request{Op: api.OpSLEM, Graph: "physics-1", Params: tinyParams()}
 
@@ -58,7 +58,7 @@ func TestMutateEvictsCache(t *testing.T) {
 		t.Fatalf("pre-mutation repeat: hit=%v fp=%q want hit of %q",
 			hit.CacheHit, hit.Fingerprint, first.Fingerprint)
 	}
-	solvesBefore := s.Collector().Count(telemetry.ServiceSolves)
+	solvesBefore := col.Count(telemetry.ServiceSolves)
 
 	mres, err := c.Mutate(ctx, api.MutateRequest{Graph: "physics-1", Grow: 3})
 	if err != nil {
@@ -87,13 +87,13 @@ func TestMutateEvictsCache(t *testing.T) {
 	if after.Fingerprint == first.Fingerprint {
 		t.Fatal("fingerprint did not change across the mutation")
 	}
-	if got := s.Collector().Count(telemetry.ServiceSolves) - solvesBefore; got != 1 {
+	if got := col.Count(telemetry.ServiceSolves) - solvesBefore; got != 1 {
 		t.Fatalf("post-mutation repeat cost %d solves, want exactly 1", got)
 	}
-	if got := s.Collector().Count(telemetry.ServiceMutations); got != 1 {
+	if got := col.Count(telemetry.ServiceMutations); got != 1 {
 		t.Fatalf("service_mutations = %d, want 1", got)
 	}
-	if got := s.Collector().Count(telemetry.ServiceEvictions); got != 1 {
+	if got := col.Count(telemetry.ServiceEvictions); got != 1 {
 		t.Fatalf("service_evictions = %d, want 1", got)
 	}
 

@@ -10,15 +10,15 @@ import (
 	"time"
 
 	"mixtime/internal/api"
+	"mixtime/internal/atomicfile"
 )
 
 // diskStore is the crash-safe persistence layer behind the result
-// cache: one JSON file per completed fingerprint, written with the
-// temp+rename discipline internal/checkpoint established, so a kill
-// mid-write leaves a miss, never a torn entry. It turns the in-memory
-// cache into one that survives a SIGKILL: the daemon reloads every
-// still-valid entry at startup and answers repeated queries without a
-// single new solve.
+// cache: one JSON file per completed fingerprint (mode 0600),
+// published through atomicfile, so a kill mid-write leaves a miss,
+// never a torn entry. It turns the in-memory cache into one that
+// survives a SIGKILL: the daemon reloads every still-valid entry at
+// startup and answers repeated queries without a single new solve.
 type diskStore struct {
 	dir string
 }
@@ -53,10 +53,9 @@ func (s *diskStore) path(fp string) string {
 	return filepath.Join(s.dir, fp+".json")
 }
 
-// save persists one completed response under its fingerprint. The
-// entry is written to a sibling temp file and renamed into place, so
-// a crash mid-save cannot leave a half-written entry that load would
-// trust.
+// save persists one completed response under its fingerprint,
+// published through atomicfile so a crash mid-save cannot leave a
+// half-written entry that load would trust.
 func (s *diskStore) save(fp, tag, hash string, resp *api.Response) error {
 	raw, err := json.Marshal(&persistedEntry{
 		SchemaVersion: api.SchemaVersion,
@@ -66,22 +65,13 @@ func (s *diskStore) save(fp, tag, hash string, resp *api.Response) error {
 		SavedUnixNS:   time.Now().UnixNano(),
 		Response:      resp,
 	})
+	if err == nil {
+		err = atomicfile.Write(s.path(fp), 0o600, func(f *os.File) error {
+			_, err := f.Write(raw)
+			return err
+		})
+	}
 	if err != nil {
-		return fmt.Errorf("service: persist %s: %w", fp, err)
-	}
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("service: persist %s: %w", fp, err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		return fmt.Errorf("service: persist %s: %w", fp, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("service: persist %s: %w", fp, err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(fp)); err != nil {
 		return fmt.Errorf("service: persist %s: %w", fp, err)
 	}
 	return nil
@@ -109,7 +99,7 @@ func (s *diskStore) load(keep func(tag, hash string) bool) ([]*persistedEntry, e
 		}
 		path := filepath.Join(s.dir, de.Name())
 		if !strings.HasSuffix(de.Name(), ".json") {
-			// Leftover temp file from a crashed save.
+			// Leftover temp file from a crashed save (atomicfile).
 			os.Remove(path)
 			continue
 		}

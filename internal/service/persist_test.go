@@ -78,3 +78,34 @@ func FuzzWarmLoad(f *testing.F) {
 		}
 	})
 }
+
+// TestSaveWritesPrivateEntry: a cache entry is published under mode
+// 0600 (responses stay private to the daemon's user, as they were when
+// os.CreateTemp made them), leaves no temp file, and loads back.
+func TestSaveWritesPrivateEntry(t *testing.T) {
+	dir := t.TempDir()
+	s, err := openDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fp = "5e1f0c2a9d"
+	resp := &api.Response{SchemaVersion: api.SchemaVersion, Op: api.OpSLEM, SLEM: &api.SLEMResult{Mu: 0.97}}
+	if err := s.save(fp, "physics-1", "9b1d", resp); err != nil {
+		t.Fatal(err)
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(des) != 1 || des[0].Name() != fp+".json" {
+		t.Fatalf("cache dir holds %v, want only %s.json", des, fp)
+	}
+	st, err := os.Stat(s.path(fp))
+	if err != nil || st.Mode().Perm() != 0o600 {
+		t.Fatalf("entry %v, %v; want mode 0600", st.Mode().Perm(), err)
+	}
+	entries, err := s.load(nil)
+	if err != nil || len(entries) != 1 || entries[0].Response.SLEM.Mu != 0.97 {
+		t.Fatalf("load = %v, %v; want the saved entry", entries, err)
+	}
+}

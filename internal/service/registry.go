@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"mixtime/internal/api"
+	"mixtime/internal/atomicfile"
 	"mixtime/internal/datasets"
 	"mixtime/internal/evolve"
 	"mixtime/internal/graph"
@@ -193,8 +194,10 @@ func (r *Registry) MakeMutable(name string, col *telemetry.Collector) (*Entry, e
 
 // LoadDir registers every loadable graph file in dir (MIXG snapshots
 // and edge lists, ".gz" accepted) under its file stem. Subdirectories
-// and unreadable files fail the load: a daemon that silently serves
-// half its registry is worse than one that refuses to start.
+// and the temp files of killed snapshot writes (atomicfile.IsTemp)
+// are skipped; an unreadable file fails the load: a daemon that
+// silently serves half its registry is worse than one that refuses
+// to start.
 func (r *Registry) LoadDir(dir string) (int, error) {
 	return r.loadDir(dir, false)
 }
@@ -219,7 +222,9 @@ func (r *Registry) loadDir(dir string, mapped bool) (int, error) {
 	}
 	added := 0
 	for _, de := range names {
-		if de.IsDir() {
+		// A snapshot write killed mid-way leaves an atomicfile temp
+		// file; it never names a graph.
+		if de.IsDir() || atomicfile.IsTemp(de.Name()) {
 			continue
 		}
 		path := filepath.Join(dir, de.Name())

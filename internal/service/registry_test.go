@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"mixtime/internal/atomicfile"
 	"mixtime/internal/datasets"
 	"mixtime/internal/graphio"
 )
@@ -95,6 +96,46 @@ func TestRegistryLoadDir(t *testing.T) {
 	}
 	if _, err := NewRegistry().LoadDir(dir); err == nil {
 		t.Fatal("corrupt file did not fail LoadDir")
+	}
+}
+
+// TestLoadDirSkipsTempLeftovers: a snapshot write killed mid-way
+// leaves a torn atomicfile temp file in the -graphs directory; it
+// stops neither LoadDir nor LoadDirMapped, and names no graph.
+func TestLoadDirSkipsTempLeftovers(t *testing.T) {
+	dir := t.TempDir()
+	d, err := datasets.ByName("physics-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(dir, "snap.mixg")
+	if err := graphio.SaveFile(snap, d.Generate(0.002, 1)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leftover := filepath.Join(dir, ".next.mixg.123456.tmp")
+	if !atomicfile.IsTemp(leftover) {
+		t.Fatalf("%s is not an atomicfile temp name", leftover)
+	}
+	if err := os.WriteFile(leftover, raw[:len(raw)/2], 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for name, load := range map[string]func(*Registry, string) (int, error){
+		"LoadDir":       (*Registry).LoadDir,
+		"LoadDirMapped": (*Registry).LoadDirMapped,
+	} {
+		r := NewRegistry()
+		n, err := load(r, dir)
+		if err != nil || n != 1 || r.Len() != 1 {
+			t.Errorf("%s = %d, %v (%d graphs); want the one snapshot", name, n, err, r.Len())
+		}
+		if _, ok := r.Get("snap"); !ok {
+			t.Errorf("%s: snapshot missing", name)
+		}
+		r.Close()
 	}
 }
 

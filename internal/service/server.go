@@ -185,9 +185,6 @@ func New(ctx context.Context, reg *Registry, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Collector exposes the server's telemetry for tests and /stats.
-func (s *Server) Collector() *telemetry.Collector { return s.col }
-
 // Handler returns the daemon's HTTP surface:
 //
 //	POST /v1/query   — the unified query endpoint (api.Request/Response)

@@ -99,9 +99,6 @@ func newOperatorPlan(g *graph.Graph) *graph.ShardPlan {
 // Dim returns the operator dimension n.
 func (op *Operator) Dim() int { return op.g.NumNodes() }
 
-// Graph returns the underlying graph.
-func (op *Operator) Graph() *graph.Graph { return op.g }
-
 // TopEigenvector returns the unit eigenvector for λ₁ = 1. The slice
 // is shared; callers must not modify it.
 func (op *Operator) TopEigenvector() []float64 { return op.v1 }

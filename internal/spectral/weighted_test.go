@@ -68,9 +68,6 @@ func TestUniformWeightsMatchUnweighted(t *testing.T) {
 			t.Fatalf("strength π[%d]=%v want %v", v, pi, want)
 		}
 	}
-	if op.Graph() != g {
-		t.Fatal("Graph accessor")
-	}
 }
 
 func TestWeightedPowerAndLanczosAgree(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 
 	"mixtime/internal/graph"
-	"mixtime/internal/walk"
 )
 
 // Attack is a Sybil attack scenario: an honest region and a sybil
@@ -114,10 +113,7 @@ func RunAttack(a *Attack, verifier graph.NodeID, cfg Config) (*AttackOutcome, er
 func (p *Protocol) escapedTails(a *Attack, verifier graph.NodeID) int {
 	escaped := 0
 	for i := 0; i < p.cfg.R; i++ {
-		r := p.router(i)
-		s := firstSlot(p.cfg.Seed^0xa5a5a5a5, i, verifier, p.g.Degree(verifier))
-		traj := walk.RouteTrace(r, verifier, s, p.cfg.W)
-		for _, v := range traj[1:] {
+		for _, v := range p.verifierRoute(i, verifier)[1:] {
 			if a.IsSybil(v) {
 				escaped++
 				break

@@ -130,18 +130,20 @@ func firstSlot(seed uint64, instance int, v graph.NodeID, deg int) int {
 	return int(x % uint64(deg))
 }
 
-// router builds the route instance for one protocol instance.
-func (p *Protocol) router(instance int) *walk.Instance {
-	return walk.NewInstance(p.g, p.cfg.Seed*0x100000001b3+uint64(instance))
+// instanceSeed derives the route-instance seed of one protocol
+// instance.
+func (p *Protocol) instanceSeed(instance int) uint64 {
+	return p.cfg.Seed*0x100000001b3 + uint64(instance)
 }
 
-// verifierTail computes the verifier's route tail in one instance.
-// The verifier's routes use an independent first-slot stream
-// (different salt), so they are uncorrelated with a suspect route
-// started at the same node.
-func (p *Protocol) verifierTail(instance int, verifier graph.NodeID, r *walk.Instance) uint64 {
+// verifierRoute traces the verifier's route (w+1 vertices) in one
+// instance, filling only the permutations it visits. The verifier's
+// routes use an independent first-slot stream (different salt), so
+// they are uncorrelated with a suspect route started at the same
+// node.
+func (p *Protocol) verifierRoute(instance int, verifier graph.NodeID) []graph.NodeID {
 	vs := firstSlot(p.cfg.Seed^0xa5a5a5a5, instance, verifier, p.g.Degree(verifier))
-	return edgeKey(walk.Route(r, verifier, vs, p.cfg.W))
+	return walk.LazyRouteTrace(p.g, p.instanceSeed(instance), verifier, vs, p.cfg.W)
 }
 
 // Verify runs the full SybilLimit admission protocol. The verifier
@@ -165,20 +167,22 @@ func (p *Protocol) Verify(verifier graph.NodeID, suspects []graph.NodeID) *Resul
 	}
 	// Pass 1: the verifier's r tails, indexed for membership tests.
 	// vTailIdx maps a tail edge to the verifier tail indices holding
-	// it (several instances may share a tail edge). Route instances
-	// are rebuilt per pass rather than cached: caching all r of them
-	// would cost O(r·m) memory, while rebuilding is O(m) against the
-	// O(n·w) routing work each instance already does.
+	// it (several instances may share a tail edge). One route per
+	// instance fills only the ≤ w permutations it visits.
 	vTailIdx := make(map[uint64][]int32, p.cfg.R)
 	for i := 0; i < p.cfg.R; i++ {
-		key := p.verifierTail(i, verifier, p.router(i))
+		route := p.verifierRoute(i, verifier)
+		key := edgeKey(walk.DirectedEdge{From: route[p.cfg.W-1], To: route[p.cfg.W]})
 		vTailIdx[key] = append(vTailIdx[key], int32(i))
 	}
 	// Pass 2: per instance, compute every suspect's tail and record
-	// which verifier tails it hits (across all instances).
+	// which verifier tails it hits (across all instances). Each
+	// instance is materialized once (O(m)) for all the suspects and
+	// dropped before the next: caching all r would cost O(r·m)
+	// memory.
 	intersecting := make([][]int32, len(suspects))
 	for i := 0; i < p.cfg.R; i++ {
-		r := p.router(i)
+		r := walk.NewInstance(p.g, p.instanceSeed(i))
 		for j, v := range suspects {
 			s := firstSlot(p.cfg.Seed, i, v, p.g.Degree(v))
 			key := edgeKey(walk.Route(r, v, s, p.cfg.W))

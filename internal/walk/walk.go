@@ -9,13 +9,15 @@
 // the Whānau experiments; Random, which returns the whole trajectory,
 // is the reference their tests hold them to. A route Instance
 // materializes every node's permutation, derived per (node, instance)
-// from a keyed SplitMix64, into one CSR-aligned O(m) table. All
+// from a keyed SplitMix64, into one CSR-aligned O(m) table;
+// LazyRouteTrace derives only the permutations one route visits. All
 // randomness flows from caller-provided seeds, so defense experiments
 // are reproducible run to run.
 package walk
 
 import (
 	"math/rand/v2"
+	"slices"
 
 	"mixtime/internal/fastrand"
 	"mixtime/internal/graph"
@@ -125,13 +127,20 @@ type Instance struct {
 	off  []uint32 // the graph's CSR offsets
 }
 
+// permSeed derives node v's permutation seed in the instance with the
+// given seed: a pure function of (seed, v), so a route can fill the
+// permutations it visits without materializing the rest.
+func permSeed(seed uint64, v graph.NodeID) uint64 {
+	return splitmix64(seed) ^ splitmix64(uint64(v)+0x5bd1)
+}
+
 // NewInstance materializes the route permutations for the given
 // instance seed.
 func NewInstance(g *graph.Graph, seed uint64) *Instance {
 	off := g.Offsets32()
 	perm := make([]uint32, len(g.Adjacency()))
 	for v := 0; v < g.NumNodes(); v++ {
-		fillPerm(perm[off[v]:off[v+1]], int(off[v+1]-off[v]), splitmix64(seed)^splitmix64(uint64(v)+0x5bd1))
+		fillPerm(perm[off[v]:off[v+1]], int(off[v+1]-off[v]), permSeed(seed, graph.NodeID(v)))
 	}
 	return &Instance{g: g, perm: perm, off: off}
 }
@@ -165,6 +174,28 @@ func RouteTrace(in *Instance, start graph.NodeID, firstSlot, w int) []graph.Node
 	traj = append(traj, from, at)
 	for i := 1; i < w; i++ {
 		from, at = at, in.Step(from, at)
+		traj = append(traj, at)
+	}
+	return traj
+}
+
+// LazyRouteTrace is RouteTrace on NewInstance(g, seed) without
+// materializing the instance: it fills only the permutations of the
+// ≤ w nodes the route visits, O(Σ deg) work instead of O(m), and
+// returns the same trajectory. It suits one route per instance, as a
+// SybilLimit verifier walks; routing many starts through one instance
+// is cheaper on the materialized table.
+func LazyRouteTrace(g *graph.Graph, seed uint64, start graph.NodeID, firstSlot, w int) []graph.NodeID {
+	traj := make([]graph.NodeID, 0, w+1)
+	from := start
+	at := g.Neighbors(start)[firstSlot]
+	traj = append(traj, from, at)
+	var perm []uint32
+	for i := 1; i < w; i++ {
+		d := g.Degree(at)
+		perm = slices.Grow(perm[:0], d)[:d]
+		fillPerm(perm, d, permSeed(seed, at))
+		from, at = at, g.Neighbors(at)[perm[g.EdgeSlot(at, from)]]
 		traj = append(traj, at)
 	}
 	return traj

@@ -219,3 +219,33 @@ func BenchmarkInstanceRoutes(b *testing.B) {
 		}
 	}
 }
+
+// TestLazyRouteTraceMatchesInstance pins LazyRouteTrace to RouteTrace
+// on the materialized NewInstance over random graphs, instance seeds,
+// start nodes, first slots and lengths (w = 1 included).
+func TestLazyRouteTraceMatchesInstance(t *testing.T) {
+	r := rng(21)
+	for trial := 0; trial < 40; trial++ {
+		g := gen.BarabasiAlbert(30+r.IntN(120), 1+r.IntN(4), rng(r.Uint64()))
+		if trial%4 == 0 {
+			g, _ = graph.LargestComponent(gen.CommunityBA(2, 25+r.IntN(40), 2, 5, rng(r.Uint64())))
+		}
+		seed := r.Uint64()
+		in := NewInstance(g, seed)
+		for k := 0; k < 8; k++ {
+			start := graph.NodeID(r.IntN(g.NumNodes()))
+			slot, w := r.IntN(g.Degree(start)), 1+r.IntN(40)
+			want := RouteTrace(in, start, slot, w)
+			got := LazyRouteTrace(g, seed, start, slot, w)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d: lazy trace has %d vertices, want %d", trial, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d (start %d, slot %d, w %d): lazy trace %v, materialized %v",
+						trial, start, slot, w, got, want)
+				}
+			}
+		}
+	}
+}

@@ -5,10 +5,10 @@
 # scripts/deadcode_test.go: the dead-code gate over internal/ and the
 # package-doc rule), the artifact pins and work ledger, the perfbench
 # module's vet and tests, the fuzz seed corpora, paperfigs' fault
-# injection end to end, byte-identical regeneration of the SLEM,
-# physics, Whanau, sybil-defense and distributed artifacts in results/,
-# and the live zero-alloc kernel gate. Run from anywhere inside the
-# repo.
+# injection and checkpoint/resume end to end, byte-identical
+# regeneration of the SLEM, physics, Whanau, sybil-defense and
+# distributed artifacts in results/, and the live zero-alloc kernel
+# gate. Run from anywhere inside the repo.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -104,6 +104,48 @@ fi
 rm -rf "$inj_dir"
 trap - EXIT
 echo "injected panic and error retried to identical bytes; injected stall timed out"
+
+echo "== paperfigs checkpoint and resume =="
+# -checkpoint and -resume through the real binary. A checkpointed run
+# of T1 and F1 writes one <id>.json entry each; a temp file like the
+# one a save killed mid-write leaves (internal/atomicfile) is planted
+# beside them; the resumed rerun must replay both experiments, remove
+# the leftover, and reproduce stdout and the CSV and JSON artifacts
+# byte for byte: real Render text (µ, ε) through the one-file entry.
+ckpt_dir=$(mktemp -d)
+trap 'rm -rf "$ckpt_dir"' EXIT
+mkdir "$ckpt_dir/csv1" "$ckpt_dir/csv2" "$ckpt_dir/json1" "$ckpt_dir/json2"
+go build -o "$ckpt_dir/paperfigs" ./cmd/paperfigs
+"$ckpt_dir/paperfigs" -q -only T1,F1 -scale 0.001 -checkpoint "$ckpt_dir/ckpt" \
+	-csv "$ckpt_dir/csv1" -json "$ckpt_dir/json1" >"$ckpt_dir/out1.txt"
+leftover="$ckpt_dir/ckpt/.F1.json.123456.tmp"
+printf '{"fingerprint":' >"$leftover"
+"$ckpt_dir/paperfigs" -q -only T1,F1 -scale 0.001 -checkpoint "$ckpt_dir/ckpt" -resume \
+	-csv "$ckpt_dir/csv2" -json "$ckpt_dir/json2" >"$ckpt_dir/out2.txt" 2>"$ckpt_dir/resume.log"
+for id in T1 F1; do
+	if ! grep -Eq "^  $id +[0-9.]+s  ok \(resumed from checkpoint\)$" "$ckpt_dir/resume.log"; then
+		echo "$id was not resumed from its checkpoint:" >&2
+		cat "$ckpt_dir/resume.log" >&2
+		exit 1
+	fi
+	for ext in csv json; do
+		if ! cmp "$ckpt_dir/${ext}1/$id.$ext" "$ckpt_dir/${ext}2/$id.$ext"; then
+			echo "resumed $id.$ext differs from the checkpointed run's" >&2
+			exit 1
+		fi
+	done
+done
+if [ -e "$leftover" ]; then
+	echo "the resumed run left the planted temp file in the checkpoint directory" >&2
+	exit 1
+fi
+if ! cmp "$ckpt_dir/out1.txt" "$ckpt_dir/out2.txt"; then
+	echo "resumed stdout differs from the checkpointed run's" >&2
+	exit 1
+fi
+rm -rf "$ckpt_dir"
+trap - EXIT
+echo "T1 and F1 resumed from their checkpoints to identical bytes"
 
 echo "== SLEM, physics and Whanau artifacts =="
 # The seven committed artifacts whose rows come from a SLEM solve
