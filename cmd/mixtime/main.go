@@ -28,10 +28,12 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -280,28 +282,41 @@ func cmdCommunities(args []string) error {
 	default:
 		return fmt.Errorf("unknown method %q", *method)
 	}
+	fmt.Printf("communities: %d   modularity Q = %.4f\n",
+		labels.NumCommunities(), mixtime.Modularity(lcc, labels))
+	sizes := communitySizes(labels)
+	for _, c := range sizes[:max(0, min(*top, len(sizes)))] {
+		fmt.Printf("  community %-5d %d nodes (%.1f%%)\n",
+			c.label, c.size, 100*float64(c.size)/float64(lcc.NumNodes()))
+	}
+	return nil
+}
+
+// community is one community's label and node count.
+type community struct {
+	label int32
+	size  int
+}
+
+// communitySizes lists every community of labels, largest first and
+// equal sizes by ascending label, so a listing is the same on every
+// run.
+func communitySizes(labels mixtime.CommunityLabels) []community {
 	sizes := map[int32]int{}
 	for _, c := range labels {
 		sizes[c]++
 	}
-	fmt.Printf("communities: %d   modularity Q = %.4f\n",
-		labels.NumCommunities(), mixtime.Modularity(lcc, labels))
-	// Sort sizes descending (simple selection over the map).
-	listed := 0
-	for listed < *top && len(sizes) > 0 {
-		var bestC int32
-		best := -1
-		for c, s := range sizes {
-			if s > best {
-				best, bestC = s, c
-			}
-		}
-		fmt.Printf("  community %-5d %d nodes (%.1f%%)\n",
-			bestC, best, 100*float64(best)/float64(lcc.NumNodes()))
-		delete(sizes, bestC)
-		listed++
+	out := make([]community, 0, len(sizes))
+	for c, n := range sizes {
+		out = append(out, community{c, n})
 	}
-	return nil
+	slices.SortFunc(out, func(a, b community) int {
+		if a.size != b.size {
+			return cmp.Compare(b.size, a.size)
+		}
+		return cmp.Compare(a.label, b.label)
+	})
+	return out
 }
 
 func cmdRank(args []string) error {

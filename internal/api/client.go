@@ -15,14 +15,14 @@ import (
 	"time"
 )
 
-// Default response-body limits. Large enough for any real payload
-// (a full-mesh CDF over a scaled Table-1 graph is tens of MB at
-// most); small enough that a misbehaving endpoint cannot balloon the
-// client. A body that hits the limit is an explicit error, never a
-// silent truncation.
+// Response-body limits: the default query limit and the fixed mutate
+// limit. Large enough for any real payload (a full-mesh CDF over a
+// scaled Table-1 graph is tens of MB at most); small enough that a
+// misbehaving endpoint cannot balloon the client. A body that hits
+// the limit is an explicit error, never a silent truncation.
 const (
-	DefaultMaxQueryBody  = 64 << 20
-	DefaultMaxMutateBody = 16 << 20
+	DefaultMaxQueryBody = 64 << 20
+	maxMutateBody       = 16 << 20
 )
 
 // maxBackoff caps a single backoff sleep between retries.
@@ -99,10 +99,9 @@ type Client struct {
 	// duplicate solves, so a hedge is cheap when the answer is cached
 	// and harmless when it is not.
 	HedgeDelay time.Duration
-	// MaxQueryBody / MaxMutateBody bound response bodies
-	// (0 = the package defaults).
-	MaxQueryBody  int64
-	MaxMutateBody int64
+	// MaxQueryBody bounds query response bodies
+	// (0 = DefaultMaxQueryBody).
+	MaxQueryBody int64
 
 	retries   atomic.Int64
 	sheds     atomic.Int64
@@ -225,7 +224,11 @@ func (c *Client) queryOnce(ctx context.Context, body []byte) (*Response, error) 
 		return nil, fmt.Errorf("api: %w", err)
 	}
 	defer hres.Body.Close()
-	raw, err := readLimited(hres.Body, limitOr(c.MaxQueryBody, DefaultMaxQueryBody))
+	limit := c.MaxQueryBody
+	if limit <= 0 {
+		limit = DefaultMaxQueryBody
+	}
+	raw, err := readLimited(hres.Body, limit)
 	if err != nil {
 		return nil, fmt.Errorf("api: read response: %w", err)
 	}
@@ -271,7 +274,7 @@ func (c *Client) mutateOnce(ctx context.Context, body []byte) (*MutateResponse, 
 		return nil, fmt.Errorf("api: %w", err)
 	}
 	defer hres.Body.Close()
-	raw, err := readLimited(hres.Body, limitOr(c.MaxMutateBody, DefaultMaxMutateBody))
+	raw, err := readLimited(hres.Body, maxMutateBody)
 	if err != nil {
 		return nil, fmt.Errorf("api: read mutate response: %w", err)
 	}
@@ -394,13 +397,6 @@ func readLimited(r io.Reader, limit int64) ([]byte, error) {
 		return nil, fmt.Errorf("response exceeds the %d-byte client limit", limit)
 	}
 	return raw, nil
-}
-
-func limitOr(v, def int64) int64 {
-	if v > 0 {
-		return v
-	}
-	return def
 }
 
 // Graphs fetches the daemon's registry listing.

@@ -256,7 +256,7 @@ func PersonalizedPageRank(g *graph.Graph, source graph.NodeID, d, tol float64, m
 }
 
 // Top returns the indices of the k largest entries of scores,
-// descending.
+// descending. k is clamped to [0, len(scores)].
 func Top(scores []float64, k int) []graph.NodeID {
 	type pair struct {
 		v graph.NodeID
@@ -268,9 +268,7 @@ func Top(scores []float64, k int) []graph.NodeID {
 	}
 	// Partial selection sort is fine for the small k this is used
 	// with.
-	if k > len(all) {
-		k = len(all)
-	}
+	k = max(0, min(k, len(all)))
 	for i := 0; i < k; i++ {
 		best := i
 		for j := i + 1; j < len(all); j++ {

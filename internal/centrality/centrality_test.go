@@ -185,8 +185,16 @@ func TestTop(t *testing.T) {
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("Top = %v", got)
 	}
-	if len(Top([]float64{1}, 5)) != 1 {
-		t.Fatal("k clamp")
+	if got := Top([]float64{0.1, 0.9, 0.5}, 5); len(got) != 3 || got[0] != 1 || got[2] != 0 {
+		t.Fatalf("oversize k: Top = %v", got)
+	}
+	for _, k := range []int{0, -1, -100} {
+		if got := Top([]float64{0.1, 0.9, 0.5}, k); len(got) != 0 {
+			t.Fatalf("k=%d: Top = %v", k, got)
+		}
+	}
+	if got := Top(nil, 3); len(got) != 0 {
+		t.Fatalf("empty scores: Top = %v", got)
 	}
 }
 

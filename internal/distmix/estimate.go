@@ -37,14 +37,11 @@ type Options struct {
 	// (default api.DefaultEps).
 	Eps float64
 	// Sources is how many start vertices to sample (default
-	// api.DefaultSources). Ignored when SourceList is set. Sampling
-	// uses the exact derivation of core.MeasureContext — PCG(Seed,
-	// 0xc0fe) into markov.SampleSources — so a distmix query and a cdf
-	// query with equal seeds measure the same sources.
+	// api.DefaultSources). Sampling uses the exact derivation of
+	// core.MeasureContext — PCG(Seed, 0xc0fe) into
+	// markov.SampleSources — so a distmix query and a cdf query with
+	// equal seeds measure the same sources.
 	Sources int
-	// SourceList, when non-nil, names the start vertices explicitly
-	// (the D1 driver passes the same list to the exact reference).
-	SourceList []graph.NodeID
 	// Seed drives the hashed walker steps and source sampling.
 	Seed uint64
 	// Collector, if non-nil, receives the distmix_* communication
@@ -173,17 +170,11 @@ func EstimateMixingTime(ctx context.Context, g *graph.Graph, opt Options) (*Resu
 	// comparable with the exact answers.
 	lazy := graph.IsBipartite(g)
 
-	sources := opt.SourceList
-	if sources == nil {
-		// The exact derivation core.MeasureContext uses, so distmix and
-		// cdf queries with equal seeds measure the same source set
-		// (pinned by TestSourceDerivationMatchesCore).
-		rng := rand.New(rand.NewPCG(opt.Seed, 0xc0fe))
-		sources = markov.SampleSources(g, opt.Sources, rng)
-	}
-	if len(sources) == 0 {
-		return nil, errors.New("distmix: no sources")
-	}
+	// The exact derivation core.MeasureContext uses, so distmix and
+	// cdf queries with equal seeds measure the same source set (pinned
+	// by TestSourceDerivationMatchesCore).
+	rng := rand.New(rand.NewPCG(opt.Seed, 0xc0fe))
+	sources := markov.SampleSources(g, opt.Sources, rng)
 
 	plan := graph.NewShardPlan(g, opt.Shards)
 	res := &Result{

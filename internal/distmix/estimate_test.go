@@ -37,13 +37,12 @@ func estimateTolerance(exact int) int {
 
 func TestEstimateMatchesExactPropagation(t *testing.T) {
 	g := connectedRandom(200, 400, 5)
-	sources := []graph.NodeID{3, 57, 120, 199}
 	opt := Options{
 		Shards:       5,
 		WalksPerNode: 64,
 		MaxRounds:    300,
 		Eps:          0.1,
-		SourceList:   sources,
+		Sources:      4,
 		Seed:         1,
 	}
 	res, err := EstimateMixingTime(context.Background(), g, opt)
@@ -52,6 +51,10 @@ func TestEstimateMatchesExactPropagation(t *testing.T) {
 	}
 	if !res.Complete {
 		t.Fatalf("estimate incomplete within %d rounds", opt.MaxRounds)
+	}
+	sources := make([]graph.NodeID, len(res.Sources))
+	for i, se := range res.Sources {
+		sources[i] = se.Source
 	}
 
 	chain, err := markov.New(g)
@@ -168,7 +171,7 @@ func TestSourceDerivationMatchesCore(t *testing.T) {
 func TestEstimateBipartiteUsesLazyChain(t *testing.T) {
 	g := ring(12) // even ring: bipartite, plain walk periodic
 	res, err := EstimateMixingTime(context.Background(), g, Options{
-		WalksPerNode: 256, MaxRounds: 400, Eps: 0.25, SourceList: []graph.NodeID{0}, Seed: 3,
+		WalksPerNode: 256, MaxRounds: 400, Eps: 0.25, Sources: 1, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 
 	"mixtime/internal/datasets"
 	"mixtime/internal/distmix"
-	"mixtime/internal/graph"
 )
 
 // BenchmarkDistMixEstimate measures the distributed walker-flood
@@ -28,7 +27,7 @@ func BenchmarkDistMixEstimate(b *testing.B) {
 		WalksPerNode: 16,
 		MaxRounds:    64,
 		Eps:          1e-12,
-		SourceList:   []graph.NodeID{0},
+		Sources:      1,
 		Seed:         1,
 	}
 	b.ResetTimer()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"mixtime/internal/api"
 	"mixtime/internal/spectral"
 	"mixtime/internal/telemetry"
 )
@@ -20,9 +21,6 @@ type Options struct {
 	Seed uint64
 	// Workers shards matvecs exactly as spectral.Options.Workers does.
 	Workers int
-	// Eps is the variation distance for the per-epoch Sinclair bounds
-	// (default 0.1, the paper's headline ε).
-	Eps float64
 	// CompareCold additionally runs a cold-start λ₂ phase per epoch
 	// and reports its iteration count beside the warm one — the
 	// accuracy/cost column of experiment E1. The cold control is
@@ -57,7 +55,7 @@ type EpochStat struct {
 	// equal-accuracy one.
 	ColdMu float64
 	// LowerT and UpperT are the Sinclair mixing-time bounds at
-	// Options.Eps for this epoch.
+	// ε = api.DefaultEps (the paper's headline 0.1) for this epoch.
 	LowerT, UpperT float64
 }
 
@@ -82,9 +80,6 @@ type Tracker struct {
 // NewTracker builds a tracker over mg. The collector (if any) is also
 // attached to mg so epoch counters and solver counters land together.
 func NewTracker(mg *MutableGraph, opt Options) *Tracker {
-	if opt.Eps <= 0 {
-		opt.Eps = 0.1
-	}
 	if opt.Collector != nil {
 		mg.SetCollector(opt.Collector)
 	}
@@ -132,8 +127,8 @@ func (t *Tracker) Observe(ctx context.Context) (EpochStat, error) {
 		WarmStarted: est.WarmStarted,
 		WarmIters:   est.Iters2,
 		TotalIters:  est.Iterations,
-		LowerT:      spectral.MixingLowerBound(est.Mu, t.opt.Eps),
-		UpperT:      spectral.MixingUpperBound(est.Mu, t.opt.Eps, g.NumNodes()),
+		LowerT:      spectral.MixingLowerBound(est.Mu, api.DefaultEps),
+		UpperT:      spectral.MixingUpperBound(est.Mu, api.DefaultEps, g.NumNodes()),
 	}
 	if t.opt.CompareCold {
 		// A full cold solve's λ_n phase would repeat the warm solve's

@@ -12,7 +12,10 @@ package experiments
 
 import (
 	"math"
+	"math/rand/v2"
 
+	"mixtime/internal/datasets"
+	"mixtime/internal/graph"
 	"mixtime/internal/runner"
 	"mixtime/internal/spectral"
 )
@@ -28,6 +31,25 @@ type Config = runner.Config
 func spectralOptions(cfg Config) spectral.Options {
 	return spectral.Options{Tol: cfg.SpectralTol, Seed: cfg.Seed, Workers: cfg.Workers,
 		Collector: cfg.Collector}
+}
+
+// cappedSample generates dataset name at the run's scale and seed and,
+// when it has more than maxNodes nodes, BFS-samples maxNodes of them
+// from a start drawn from PCG(cfg.Seed, stream) and keeps the sample's
+// largest component. The SybilLimit, SybilInfer, defense and Whānau
+// drivers run on such samples.
+func cappedSample(name string, cfg Config, maxNodes int, stream uint64) (*graph.Graph, error) {
+	d, err := datasets.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	g := d.Generate(cfg.Scale, cfg.Seed)
+	if g.NumNodes() > maxNodes {
+		rng := rand.New(rand.NewPCG(cfg.Seed, stream))
+		sub, _ := graph.BFSSubgraph(g, graph.NodeID(rng.IntN(g.NumNodes())), maxNodes)
+		g, _ = graph.LargestComponent(sub)
+	}
+	return g, nil
 }
 
 // epsGrid is the variation-distance grid the bound figures sweep,

@@ -8,7 +8,6 @@ import (
 
 	"mixtime/internal/centrality"
 	"mixtime/internal/community"
-	"mixtime/internal/datasets"
 	"mixtime/internal/gen"
 	"mixtime/internal/graph"
 	"mixtime/internal/runner"
@@ -71,42 +70,17 @@ type DefenseRow struct {
 	HonestMean, SybilMean float64
 }
 
-// DefenseComparisonConfig parameterizes the comparison.
-type DefenseComparisonConfig struct {
-	Config
-	// Nodes caps the honest region (default 500).
-	Nodes int
-	// SybilNodes sizes the sybil region (default Nodes/5).
-	SybilNodes int
-	// AttackEdges is g (default 5).
-	AttackEdges int
-	// W is the walk length every walk-based defense uses
-	// (default 10 — the SybilLimit-era assumption).
-	W int
-	// Datasets are the honest regions (default facebook-A and
-	// physics-1).
-	Datasets []string
-}
-
-func (c DefenseComparisonConfig) withDefaults() DefenseComparisonConfig {
-	c.Config = c.Config.WithDefaults()
-	if c.Nodes <= 0 {
-		c.Nodes = 500
-	}
-	if c.SybilNodes <= 0 {
-		c.SybilNodes = c.Nodes / 5
-	}
-	if c.AttackEdges <= 0 {
-		c.AttackEdges = 5
-	}
-	if c.W <= 0 {
-		c.W = 10
-	}
-	if len(c.Datasets) == 0 {
-		c.Datasets = []string{"facebook-A", "physics-1"}
-	}
-	return c
-}
+// The defense comparison runs on BFS samples of at most defenseNodes
+// nodes of each fastSlowPair graph, joined to a Barabási–Albert sybil
+// region of defenseSybils nodes through defenseEdges (g) attack edges.
+// Every walk-based defense walks defenseW steps, the SybilLimit-era
+// assumption.
+const (
+	defenseNodes  = 500
+	defenseSybils = defenseNodes / 5
+	defenseEdges  = 5
+	defenseW      = 10
+)
 
 // DefenseComparisonContext runs the Viswanath-style head-to-head:
 // under the same attack, rank every node by (a) SybilLimit admission,
@@ -118,26 +92,20 @@ func (c DefenseComparisonConfig) withDefaults() DefenseComparisonConfig {
 // community detectors at heart; the AUC table makes the equivalence
 // measurable. ctx is checked per dataset and each finished dataset
 // reports as a KindDatasetDone.
-func DefenseComparisonContext(ctx context.Context, cfg DefenseComparisonConfig, obs runner.Observer) ([]DefenseRow, error) {
-	cfg = cfg.withDefaults()
+func DefenseComparisonContext(ctx context.Context, cfg Config, obs runner.Observer) ([]DefenseRow, error) {
+	cfg = cfg.WithDefaults()
 	var rows []DefenseRow
-	for di, name := range cfg.Datasets {
+	for di, name := range fastSlowPair {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("experiments: defense comparison cancelled before %s: %w", name, err)
 		}
-		d, err := datasets.ByName(name)
+		honest, err := cappedSample(name, cfg, defenseNodes, 0xdc1)
 		if err != nil {
 			return nil, err
 		}
-		honest := d.Generate(cfg.Scale, cfg.Seed)
-		if honest.NumNodes() > cfg.Nodes {
-			rng := rand.New(rand.NewPCG(cfg.Seed, 0xdc1))
-			sub, _ := graph.BFSSubgraph(honest, graph.NodeID(rng.IntN(honest.NumNodes())), cfg.Nodes)
-			honest, _ = graph.LargestComponent(sub)
-		}
 		rng := rand.New(rand.NewPCG(cfg.Seed, 0xdc2))
-		region := gen.BarabasiAlbert(cfg.SybilNodes, 4, rng)
-		attack := sybil.NewAttack(honest, region, cfg.AttackEdges, rng)
+		region := gen.BarabasiAlbert(defenseSybils, 4, rng)
+		attack := sybil.NewAttack(honest, region, defenseEdges, rng)
 		g := attack.Combined
 		verifier := graph.NodeID(0)
 		n := g.NumNodes()
@@ -161,7 +129,7 @@ func DefenseComparisonContext(ctx context.Context, cfg DefenseComparisonConfig, 
 		}
 
 		// SybilLimit: binary admission score.
-		p, err := sybil.NewProtocol(g, sybil.Config{W: cfg.W, R0: 3, Seed: cfg.Seed})
+		p, err := sybil.NewProtocol(g, sybil.Config{W: defenseW, R0: 3, Seed: cfg.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s sybillimit: %w", name, err)
 		}
@@ -177,7 +145,7 @@ func DefenseComparisonContext(ctx context.Context, cfg DefenseComparisonConfig, 
 
 		// SybilInfer marginals.
 		inf, err := sybil.SybilInfer(g, sybil.InferConfig{
-			WalksPerNode: 20, W: cfg.W, Samples: 120, Burn: 120, Seed: cfg.Seed})
+			WalksPerNode: 20, W: defenseW, Samples: 120, Burn: 120, Seed: cfg.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s sybilinfer: %w", name, err)
 		}
@@ -204,7 +172,7 @@ func DefenseComparisonContext(ctx context.Context, cfg DefenseComparisonConfig, 
 		}
 		add("community", cScore)
 		runner.Emit(obs, runner.Event{Kind: runner.KindDatasetDone, Dataset: name,
-			Done: di + 1, Total: len(cfg.Datasets)})
+			Done: di + 1, Total: len(fastSlowPair)})
 	}
 	return rows, nil
 }
@@ -240,18 +208,11 @@ type WhanauRow2 struct {
 func WhanauLookupContext(ctx context.Context, cfg Config, obs runner.Observer) ([]WhanauRow2, error) {
 	cfg = cfg.WithDefaults()
 	walks := []int{1, 2, 4, 8, 16, 32, 64}
-	names := []string{"facebook-A", "physics-1"}
 	var rows []WhanauRow2
-	for di, name := range names {
-		d, err := datasets.ByName(name)
+	for di, name := range fastSlowPair {
+		g, err := cappedSample(name, cfg, 1200, 0x3aa)
 		if err != nil {
 			return nil, err
-		}
-		g := d.Generate(cfg.Scale, cfg.Seed)
-		if g.NumNodes() > 1200 {
-			rng := rand.New(rand.NewPCG(cfg.Seed, 0x3aa))
-			sub, _ := graph.BFSSubgraph(g, graph.NodeID(rng.IntN(g.NumNodes())), 1200)
-			g, _ = graph.LargestComponent(sub)
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("experiments: whanau lookup cancelled at %s: %w", name, err)
@@ -274,7 +235,7 @@ func WhanauLookupContext(ctx context.Context, cfg Config, obs runner.Observer) (
 			})
 		}
 		runner.Emit(obs, runner.Event{Kind: runner.KindDatasetDone, Dataset: name,
-			Done: di + 1, Total: len(names)})
+			Done: di + 1, Total: len(fastSlowPair)})
 	}
 	return rows, nil
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand/v2"
 
-	"mixtime/internal/datasets"
 	"mixtime/internal/gen"
 	"mixtime/internal/graph"
 	"mixtime/internal/runner"
@@ -30,39 +29,19 @@ type DetectionRow struct {
 	FalseReject, FalseAccept int
 }
 
-// DetectionConfig parameterizes the experiment.
-type DetectionConfig struct {
-	Config
-	// Nodes caps the honest region (default 600).
-	Nodes int
-	// SybilNodes sizes the sybil region (default Nodes/5).
-	SybilNodes int
-	// AttackEdges is g (default 4).
-	AttackEdges int
-	// Walks overrides the trace walk lengths (default 1×, 2×, 4×,
-	// 8× of ⌈ln n⌉).
-	Walks []int
-	// Datasets overrides the honest regions (default facebook-A and
-	// physics-1 — the fast/slow contrast).
-	Datasets []string
-}
+// fastSlowPair is the fast/slow contrast X5, X6 and X7 run on: the
+// fast-mixing facebook-A and the slow-mixing physics-1.
+var fastSlowPair = []string{"facebook-A", "physics-1"}
 
-func (c DetectionConfig) withDefaults() DetectionConfig {
-	c.Config = c.Config.WithDefaults()
-	if c.Nodes <= 0 {
-		c.Nodes = 600
-	}
-	if c.SybilNodes <= 0 {
-		c.SybilNodes = c.Nodes / 5
-	}
-	if c.AttackEdges <= 0 {
-		c.AttackEdges = 4
-	}
-	if len(c.Datasets) == 0 {
-		c.Datasets = []string{"facebook-A", "physics-1"}
-	}
-	return c
-}
+// SybilInfer detection runs on BFS samples of at most detectNodes
+// nodes, joined to a Barabási–Albert sybil region of detectSybils
+// nodes through detectEdges (g) attack edges. The trace walk lengths
+// are 1, 2, 4 and 8 times ⌈ln n⌉ of the combined graph.
+const (
+	detectNodes  = 600
+	detectSybils = detectNodes / 5
+	detectEdges  = 4
+)
 
 // DetectionContext runs SybilInfer across trace walk lengths on fast-
 // and slow-mixing honest regions. The paper's implication made
@@ -71,30 +50,20 @@ func (c DetectionConfig) withDefaults() DetectionConfig {
 // graph, and it recovers only as the walks approach the real mixing
 // time. ctx is checked per (dataset, walk length) and each finished
 // dataset reports as a KindDatasetDone.
-func DetectionContext(ctx context.Context, cfg DetectionConfig, obs runner.Observer) ([]DetectionRow, error) {
-	cfg = cfg.withDefaults()
+func DetectionContext(ctx context.Context, cfg Config, obs runner.Observer) ([]DetectionRow, error) {
+	cfg = cfg.WithDefaults()
 	var rows []DetectionRow
-	for di, name := range cfg.Datasets {
-		d, err := datasets.ByName(name)
+	for di, name := range fastSlowPair {
+		honest, err := cappedSample(name, cfg, detectNodes, 0xde7)
 		if err != nil {
 			return nil, err
 		}
-		honest := d.Generate(cfg.Scale, cfg.Seed)
-		if honest.NumNodes() > cfg.Nodes {
-			rng := rand.New(rand.NewPCG(cfg.Seed, 0xde7))
-			sub, _ := graph.BFSSubgraph(honest, graph.NodeID(rng.IntN(honest.NumNodes())), cfg.Nodes)
-			honest, _ = graph.LargestComponent(sub)
-		}
 		rng := rand.New(rand.NewPCG(cfg.Seed, 0xde8))
-		region := gen.BarabasiAlbert(cfg.SybilNodes, 4, rng)
-		attack := sybil.NewAttack(honest, region, cfg.AttackEdges, rng)
+		region := gen.BarabasiAlbert(detectSybils, 4, rng)
+		attack := sybil.NewAttack(honest, region, detectEdges, rng)
 
-		walks := cfg.Walks
-		if len(walks) == 0 {
-			base := int(math.Ceil(math.Log(float64(attack.Combined.NumNodes()))))
-			walks = []int{base, 2 * base, 4 * base, 8 * base}
-		}
-		for _, w := range walks {
+		base := int(math.Ceil(math.Log(float64(attack.Combined.NumNodes()))))
+		for _, w := range []int{base, 2 * base, 4 * base, 8 * base} {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("experiments: detection cancelled at %s w=%d: %w", name, w, err)
 			}
@@ -131,7 +100,7 @@ func DetectionContext(ctx context.Context, cfg DetectionConfig, obs runner.Obser
 			rows = append(rows, row)
 		}
 		runner.Emit(obs, runner.Event{Kind: runner.KindDatasetDone, Dataset: name,
-			Done: di + 1, Total: len(cfg.Datasets)})
+			Done: di + 1, Total: len(fastSlowPair)})
 	}
 	return rows, nil
 }

@@ -4,14 +4,13 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"strconv"
 
 	"mixtime/internal/api"
+	"mixtime/internal/core"
 	"mixtime/internal/datasets"
 	"mixtime/internal/distmix"
 	"mixtime/internal/graph"
-	"mixtime/internal/markov"
 	"mixtime/internal/runner"
 	"mixtime/internal/spectral"
 	"mixtime/internal/textplot"
@@ -21,8 +20,8 @@ import (
 // cross-validation: every source costs a full walker flood plus an
 // exact propagation reference, so D1 trades source coverage for
 // dataset coverage (all fifteen Table-1 graphs). The cap keeps the
-// default-scale run in paperfigs territory; raise cfg.Sources below
-// the cap to shrink it further.
+// default-scale run in paperfigs territory; a cfg.Sources below the
+// cap shrinks it further. D2 shares the cap.
 const d1MaxSources = 8
 
 // DistMixRow is one dataset of experiment D1: the distributed
@@ -55,40 +54,21 @@ type DistMixRow struct {
 	OffShardBytes    int64 `json:"offshard_bytes"`
 }
 
-// distMixSources draws the source set both the estimator and the
-// exact reference measure — the derivation core.MeasureContext uses,
-// truncated to the D1 budget.
-func distMixSources(g *graph.Graph, cfg Config) []graph.NodeID {
-	k := cfg.Sources
-	if k > d1MaxSources {
-		k = d1MaxSources
-	}
-	rng := rand.New(rand.NewPCG(cfg.Seed, 0xc0fe))
-	return markov.SampleSources(g, k, rng)
-}
-
-// exactTau propagates the exact distribution from every source on the
-// comparison chain (lazy iff bipartite, like every other measurement)
-// and applies Definition 1. Each block stops at its last first
-// crossing of eps; incomplete sources contribute the walk cap as a
-// lower bound (markov.MixingTime).
-func exactTau(ctx context.Context, g *graph.Graph, sources []graph.NodeID, eps float64, cfg Config) (int, bool, error) {
-	var opts []markov.Option
-	if graph.IsBipartite(g) {
-		opts = append(opts, markov.Lazy())
-	}
-	if cfg.Collector != nil {
-		opts = append(opts, markov.WithCollector(cfg.Collector))
-	}
-	chain, err := markov.New(g, opts...)
+// exactTau applies Definition 1 to exact propagation on g: core's
+// measurement from cfg.Sources sources (the set distmix samples from
+// the same count and seed), on its chain (lazy iff bipartite), each
+// block stopped at its last first crossing of eps. Incomplete sources
+// contribute the walk cap as a lower bound (markov.MixingTime).
+func exactTau(ctx context.Context, g *graph.Graph, eps float64, cfg Config) (tau int, complete bool, err error) {
+	m, err := core.MeasureContext(ctx, g, core.Options{
+		Sources: cfg.Sources, MaxWalk: cfg.MaxWalk, StopEps: eps,
+		Seed: cfg.Seed, SkipSpectral: true, KeepWhole: true,
+		Workers: cfg.Workers, BlockSize: cfg.BlockSize, Collector: cfg.Collector,
+	})
 	if err != nil {
 		return 0, false, err
 	}
-	traces, err := chain.TraceSampleBlockedContext(ctx, sources, cfg.MaxWalk, eps, cfg.BlockSize, cfg.Workers, nil)
-	if err != nil {
-		return 0, false, err
-	}
-	tau, complete := markov.MixingTime(traces, eps)
+	tau, complete = m.SampledMixingTime(eps)
 	return tau, complete, nil
 }
 
@@ -111,6 +91,7 @@ func relErr(est, exact int) float64 {
 // documents the tolerance the relative-error column is held to.
 func DistMixValidationContext(ctx context.Context, cfg Config, obs runner.Observer) ([]DistMixRow, error) {
 	cfg = cfg.WithDefaults()
+	cfg.Sources = min(cfg.Sources, d1MaxSources)
 	eps := api.DefaultEps
 	all := datasets.All()
 	var rows []DistMixRow
@@ -123,8 +104,7 @@ func DistMixValidationContext(ctx context.Context, cfg Config, obs runner.Observ
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", d.Name, err)
 		}
-		sources := distMixSources(g, cfg)
-		texact, exactOK, err := exactTau(ctx, g, sources, eps, cfg)
+		texact, exactOK, err := exactTau(ctx, g, eps, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", d.Name, err)
 		}
@@ -133,7 +113,7 @@ func DistMixValidationContext(ctx context.Context, cfg Config, obs runner.Observ
 			WalksPerNode: api.DefaultDistWalks,
 			MaxRounds:    cfg.MaxWalk,
 			Eps:          eps,
-			SourceList:   sources,
+			Sources:      cfg.Sources,
 			Seed:         cfg.Seed,
 			Collector:    cfg.Collector,
 		})
@@ -146,7 +126,7 @@ func DistMixValidationContext(ctx context.Context, cfg Config, obs runner.Observ
 			Nodes:            g.NumNodes(),
 			Edges:            g.NumEdges(),
 			Mu:               est.Mu,
-			Sources:          len(sources),
+			Sources:          len(res.Sources),
 			Walks:            res.WalksPerNode,
 			Shards:           res.Shards,
 			TauExact:         texact,
@@ -244,6 +224,7 @@ type TradeoffRow struct {
 // directly; the walker axis trades messages for noise floor.
 func DistMixTradeoffContext(ctx context.Context, cfg Config, obs runner.Observer) ([]TradeoffRow, error) {
 	cfg = cfg.WithDefaults()
+	cfg.Sources = min(cfg.Sources, d1MaxSources)
 	eps := api.DefaultEps
 	walksSweep := []int{4, 16, 64}
 	shardSweep := []int{2, 8, 32}
@@ -254,8 +235,7 @@ func DistMixTradeoffContext(ctx context.Context, cfg Config, obs runner.Observer
 			return nil, fmt.Errorf("experiments: distmix tradeoff: %w", err)
 		}
 		g := d.Generate(cfg.Scale, cfg.Seed)
-		sources := distMixSources(g, cfg)
-		texact, _, err := exactTau(ctx, g, sources, eps, cfg)
+		texact, _, err := exactTau(ctx, g, eps, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", name, err)
 		}
@@ -268,7 +248,7 @@ func DistMixTradeoffContext(ctx context.Context, cfg Config, obs runner.Observer
 				WalksPerNode: walks,
 				MaxRounds:    maxRounds,
 				Eps:          eps,
-				SourceList:   sources,
+				Sources:      cfg.Sources,
 				Seed:         cfg.Seed,
 				Collector:    cfg.Collector,
 			})

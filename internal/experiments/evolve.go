@@ -7,7 +7,6 @@ import (
 	"math/rand/v2"
 	"strconv"
 
-	"mixtime/internal/api"
 	"mixtime/internal/datasets"
 	"mixtime/internal/evolve"
 	"mixtime/internal/graph"
@@ -90,7 +89,6 @@ func EvolveGrowthContext(ctx context.Context, cfg Config, obs runner.Observer) (
 		Tol:         cfg.SpectralTol,
 		Seed:        cfg.Seed,
 		Workers:     cfg.Workers,
-		Eps:         api.DefaultEps,
 		CompareCold: true,
 		Collector:   cfg.Collector,
 	})
@@ -229,7 +227,6 @@ func EvolveAttackContext(ctx context.Context, cfg Config, obs runner.Observer) (
 			Tol:       cfg.SpectralTol,
 			Seed:      cfg.Seed,
 			Workers:   cfg.Workers,
-			Eps:       api.DefaultEps,
 			Collector: cfg.Collector,
 		})
 

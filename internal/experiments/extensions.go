@@ -7,7 +7,6 @@ import (
 
 	"mixtime/internal/datasets"
 	"mixtime/internal/gen"
-	"mixtime/internal/graph"
 	"mixtime/internal/runner"
 	"mixtime/internal/spectral"
 	"mixtime/internal/sybil"
@@ -27,72 +26,39 @@ type SybilAttackRow struct {
 	EscapesPerEdge float64 // escaped tails per attack edge
 }
 
-// SybilAttackConfig parameterizes the attack experiment.
-type SybilAttackConfig struct {
-	Config
-	// Dataset names the honest region (default "facebook-A").
-	Dataset string
-	// Nodes caps the honest region (default 1500).
-	Nodes int
-	// SybilNodes sizes the sybil region (default Nodes/4).
-	SybilNodes int
-	// AttackEdges is g (default 10).
-	AttackEdges int
-	// R0 is the SybilLimit multiplier (default 3).
-	R0 float64
-	// Walks is the sweep (default fig8Walks).
-	Walks []int
-}
-
-func (c SybilAttackConfig) withDefaults() SybilAttackConfig {
-	c.Config = c.Config.WithDefaults()
-	if c.Dataset == "" {
-		c.Dataset = "facebook-A"
-	}
-	if c.Nodes <= 0 {
-		c.Nodes = 1500
-	}
-	if c.SybilNodes <= 0 {
-		c.SybilNodes = c.Nodes / 4
-	}
-	if c.AttackEdges <= 0 {
-		c.AttackEdges = 10
-	}
-	if c.R0 <= 0 {
-		c.R0 = 3
-	}
-	if len(c.Walks) == 0 {
-		c.Walks = fig8Walks
-	}
-	return c
-}
+// The attack experiment's honest region is a BFS sample of at most
+// attackNodes nodes of attackDataset. A Barabási–Albert sybil region
+// of attackSybils nodes joins it through attackEdges (g) attack edges,
+// and SybilLimit runs with route-count multiplier attackR0 over the
+// fig8Walks sweep.
+const (
+	attackDataset = "facebook-A"
+	attackNodes   = 1500
+	attackSybils  = attackNodes / 4
+	attackEdges   = 10
+	attackR0      = 3
+)
 
 // SybilAttackContext runs the extension experiment: SybilLimit under
 // attack across walk lengths, reporting the escape-based sybil bound
 // the paper's discussion derives (accepted sybils ≈ t·g as long as
 // g < n/w). ctx is checked per walk length.
-func SybilAttackContext(ctx context.Context, cfg SybilAttackConfig) ([]SybilAttackRow, error) {
-	cfg = cfg.withDefaults()
-	d, err := datasets.ByName(cfg.Dataset)
+func SybilAttackContext(ctx context.Context, cfg Config, _ runner.Observer) ([]SybilAttackRow, error) {
+	cfg = cfg.WithDefaults()
+	honest, err := cappedSample(attackDataset, cfg, attackNodes, 0xa77)
 	if err != nil {
 		return nil, err
 	}
-	honest := d.Generate(cfg.Scale, cfg.Seed)
-	if honest.NumNodes() > cfg.Nodes {
-		rng := rand.New(rand.NewPCG(cfg.Seed, 0xa77))
-		sub, _ := graph.BFSSubgraph(honest, graph.NodeID(rng.IntN(honest.NumNodes())), cfg.Nodes)
-		honest, _ = graph.LargestComponent(sub)
-	}
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x5b1))
-	sybilRegion := gen.BarabasiAlbert(cfg.SybilNodes, 3, rng)
-	attack := sybil.NewAttack(honest, sybilRegion, cfg.AttackEdges, rng)
+	sybilRegion := gen.BarabasiAlbert(attackSybils, 3, rng)
+	attack := sybil.NewAttack(honest, sybilRegion, attackEdges, rng)
 
 	var rows []SybilAttackRow
-	for _, w := range cfg.Walks {
+	for _, w := range fig8Walks {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("experiments: attack cancelled at w=%d: %w", w, err)
 		}
-		out, err := sybil.RunAttack(attack, 0, sybil.Config{W: w, R0: cfg.R0, Seed: cfg.Seed})
+		out, err := sybil.RunAttack(attack, 0, sybil.Config{W: w, R0: attackR0, Seed: cfg.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: attack w=%d: %w", w, err)
 		}
@@ -102,8 +68,8 @@ func SybilAttackContext(ctx context.Context, cfg SybilAttackConfig) ([]SybilAtta
 			SybilRate:      float64(out.SybilAccepted) / float64(out.SybilTotal),
 			EscapedTails:   out.EscapedTails,
 			R:              out.R,
-			SybilsPerEdge:  float64(out.SybilAccepted) / float64(cfg.AttackEdges),
-			EscapesPerEdge: float64(out.EscapedTails) / float64(cfg.AttackEdges),
+			SybilsPerEdge:  float64(out.SybilAccepted) / attackEdges,
+			EscapesPerEdge: float64(out.EscapedTails) / attackEdges,
 		})
 	}
 	return rows, nil

@@ -3,9 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 
-	"mixtime/internal/datasets"
 	"mixtime/internal/graph"
 	"mixtime/internal/runner"
 	"mixtime/internal/sybil"
@@ -29,32 +27,13 @@ type Fig8Curve struct {
 	Accept  []float64
 }
 
-// Fig8Config extends the shared Config with the protocol knobs.
-type Fig8Config struct {
-	Config
-	// Nodes caps each graph via BFS sampling (default 2000; the
-	// paper uses 10,000-node samples).
-	Nodes int
-	// R0 is SybilLimit's route-count multiplier (default 3 here for
-	// runtime; the SybilLimit paper suggests 4).
-	R0 float64
-	// Walks overrides the walk-length sweep.
-	Walks []int
-}
-
-func (c Fig8Config) withDefaults() Fig8Config {
-	c.Config = c.Config.WithDefaults()
-	if c.Nodes <= 0 {
-		c.Nodes = 2000
-	}
-	if c.R0 <= 0 {
-		c.R0 = 3
-	}
-	if len(c.Walks) == 0 {
-		c.Walks = fig8Walks
-	}
-	return c
-}
+// Figure 8 samples each graph down to at most fig8Nodes nodes (the
+// paper uses 10,000-node samples) and runs SybilLimit with route-count
+// multiplier fig8R0 (3 for runtime; the SybilLimit paper suggests 4).
+const (
+	fig8Nodes = 2000
+	fig8R0    = 3
+)
 
 // fig8Datasets mirror the paper: the three physics graphs plus
 // 10K-node samples of Facebook A and Slashdot 1.
@@ -63,33 +42,27 @@ var fig8Datasets = []string{"physics-1", "physics-2", "physics-3", "facebook-A",
 // Figure8Context reproduces the SybilLimit admission experiment. ctx
 // is checked per dataset and per walk length, and each finished
 // dataset reports as a KindDatasetDone.
-func Figure8Context(ctx context.Context, cfg Fig8Config, obs runner.Observer) ([]Fig8Curve, error) {
-	cfg = cfg.withDefaults()
+func Figure8Context(ctx context.Context, cfg Config, obs runner.Observer) ([]Fig8Curve, error) {
+	cfg = cfg.WithDefaults()
 	var curves []Fig8Curve
 	for i, name := range fig8Datasets {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("experiments: figure8 cancelled before %s: %w", name, err)
 		}
-		d, err := datasets.ByName(name)
+		g, err := cappedSample(name, cfg, fig8Nodes, 0xf8)
 		if err != nil {
 			return nil, err
 		}
-		g := d.Generate(cfg.Scale, cfg.Seed)
-		if g.NumNodes() > cfg.Nodes {
-			rng := rand.New(rand.NewPCG(cfg.Seed, 0xf8))
-			sub, _ := graph.BFSSubgraph(g, graph.NodeID(rng.IntN(g.NumNodes())), cfg.Nodes)
-			g, _ = graph.LargestComponent(sub)
-		}
-		curve := Fig8Curve{Dataset: name, Nodes: g.NumNodes(), Edges: g.NumEdges(), W: cfg.Walks}
+		curve := Fig8Curve{Dataset: name, Nodes: g.NumNodes(), Edges: g.NumEdges(), W: fig8Walks}
 		verifier := graph.NodeID(0)
 		suspects := sybil.AllHonest(g, verifier)
-		for _, w := range cfg.Walks {
+		for _, w := range fig8Walks {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("experiments: figure8 cancelled at %s w=%d: %w", name, w, err)
 			}
 			p, err := sybil.NewProtocol(g, sybil.Config{
 				W:    w,
-				R0:   cfg.R0,
+				R0:   fig8R0,
 				Seed: cfg.Seed,
 			})
 			if err != nil {

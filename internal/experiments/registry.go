@@ -119,13 +119,9 @@ func init() {
 		define("F7", "fig7", "Figure 7: sampling vs lower bound on BFS samples of the large graphs",
 			Figure7Context, renderEach(RenderFig7Panel), Fig7CSV),
 		define("F8", "fig8", "Figure 8: SybilLimit admission rate vs random walk length",
-			func(ctx context.Context, cfg Config, obs runner.Observer) ([]Fig8Curve, error) {
-				return Figure8Context(ctx, Fig8Config{Config: cfg}, obs)
-			}, RenderFig8, Fig8CSV),
+			Figure8Context, RenderFig8, Fig8CSV),
 		define("X1", "attack", "SybilLimit under attack: honest admission vs tail escapes",
-			func(ctx context.Context, cfg Config, obs runner.Observer) ([]SybilAttackRow, error) {
-				return SybilAttackContext(ctx, SybilAttackConfig{Config: cfg})
-			}, RenderSybilAttack, SybilAttackCSV),
+			SybilAttackContext, RenderSybilAttack, SybilAttackCSV),
 		define("X2", "conductance", "Conductance: Cheeger bounds and spectral sweep cuts",
 			ConductanceContext, RenderConductance, ConductanceCSV),
 		define("X3", "whanau", "Whānau check: walk-tail edge distributions vs uniform",
@@ -133,13 +129,9 @@ func init() {
 		define("X4", "trust", "Trust-modulated walks: mixing cost of trust models",
 			TrustModelsContext, RenderTrust, TrustCSV),
 		define("X5", "detection", "SybilInfer detection vs trace walk length",
-			func(ctx context.Context, cfg Config, obs runner.Observer) ([]DetectionRow, error) {
-				return DetectionContext(ctx, DetectionConfig{Config: cfg}, obs)
-			}, RenderDetection, DetectionCSV),
+			DetectionContext, RenderDetection, DetectionCSV),
 		define("X6", "defenses", "Defense comparison: ranking AUC under one attack",
-			func(ctx context.Context, cfg Config, obs runner.Observer) ([]DefenseRow, error) {
-				return DefenseComparisonContext(ctx, DefenseComparisonConfig{Config: cfg}, obs)
-			}, RenderDefenseComparison, DefenseComparisonCSV),
+			DefenseComparisonContext, RenderDefenseComparison, DefenseComparisonCSV),
 		define("D1", "distmix", "Distributed estimates vs exact mixing time on every dataset",
 			DistMixValidationContext, RenderDistMix, DistMixCSV),
 		define("D2", "distmix-tradeoff", "Distributed estimation: accuracy vs communication sweep",

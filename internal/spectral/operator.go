@@ -44,34 +44,10 @@ type Operator struct {
 	col        *telemetry.Collector
 }
 
-// NewOperator builds the operator. The graph must be non-empty with
-// no isolated vertices.
-func NewOperator(g *graph.Graph) (*Operator, error) {
-	n := g.NumNodes()
-	if n == 0 {
-		return nil, errors.New("spectral: empty graph")
-	}
-	op := &Operator{
-		g:          g,
-		invSqrtDeg: make([]float64, n),
-		v1:         make([]float64, n),
-	}
-	twoM := float64(2 * g.NumEdges())
-	if twoM == 0 {
-		return nil, errors.New("spectral: graph has no edges")
-	}
-	for v := 0; v < n; v++ {
-		d := float64(g.Degree(graph.NodeID(v)))
-		if d == 0 {
-			return nil, errors.New("spectral: graph has an isolated vertex")
-		}
-		op.invSqrtDeg[v] = 1 / math.Sqrt(d)
-		op.v1[v] = math.Sqrt(d / twoM)
-	}
-	op.plan = newOperatorPlan(g)
-	op.adjLen = 2 * g.NumEdges()
-	return op, nil
-}
+// NewOperator builds the operator of the unweighted walk: the
+// weighted operator with unit weights. The graph must be non-empty
+// with no isolated vertices.
+func NewOperator(g *graph.Graph) (*Operator, error) { return NewWeightedOperator(g, nil) }
 
 // SetCollector attaches a telemetry collector: every matvec then
 // counts into col at call granularity (one atomic add per CSR pass),

@@ -13,7 +13,10 @@ import (
 // degrees). weights must be CSR-aligned with g: one entry per
 // directed adjacency slot, in the order Neighbors(0), Neighbors(1),
 // …, and symmetric (the slot for u→v equals the one for v→u). All
-// weights must be positive.
+// weights must be positive. nil weights mean unit weights, the
+// unweighted walk: its strengths are the degrees and their total 2m,
+// exact integers, so the operator is the one D^{-1/2} A D^{-1/2}
+// defines, bit for bit.
 //
 // Weighted walks are the mechanism of the paper's future-work
 // direction (trust-incorporating Sybil defenses): biasing transition
@@ -23,16 +26,17 @@ func NewWeightedOperator(g *graph.Graph, weights []float64) (*Operator, error) {
 	if n == 0 {
 		return nil, errors.New("spectral: empty graph")
 	}
-	var slots int64
-	for v := 0; v < n; v++ {
-		slots += int64(g.Degree(graph.NodeID(v)))
-	}
-	if int64(len(weights)) != slots {
+	slots := int64(len(g.Adjacency()))
+	if weights != nil && int64(len(weights)) != slots {
 		return nil, errors.New("spectral: weights not CSR-aligned with graph")
 	}
 	strength := make([]float64, n)
 	idx := 0
 	for v := 0; v < n; v++ {
+		if weights == nil {
+			strength[v] = float64(g.Degree(graph.NodeID(v)))
+			continue
+		}
 		for range g.Neighbors(graph.NodeID(v)) {
 			w := weights[idx]
 			if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
@@ -51,7 +55,7 @@ func NewWeightedOperator(g *graph.Graph, weights []float64) (*Operator, error) {
 	}
 	for v := 0; v < n; v++ {
 		if strength[v] == 0 {
-			return nil, errors.New("spectral: isolated vertex")
+			return nil, errors.New("spectral: graph has an isolated vertex")
 		}
 		op.invSqrtDeg[v] = 1 / math.Sqrt(strength[v])
 		total += strength[v]

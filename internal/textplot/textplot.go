@@ -32,27 +32,19 @@ type Options struct {
 	Title  string
 	XLabel string
 	YLabel string
-	// Width and Height are the plot area size in characters
-	// (default 72×20).
-	Width, Height int
 	// LogY selects a logarithmic y axis; non-positive values are
 	// dropped.
 	LogY bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.Width <= 0 {
-		o.Width = 72
-	}
-	if o.Height <= 0 {
-		o.Height = 20
-	}
-	return o
-}
+// The plot area of every chart is chartWidth×chartHeight characters.
+const (
+	chartWidth  = 72
+	chartHeight = 20
+)
 
 // Chart renders the series into a multi-line string.
 func Chart(opt Options, series ...Series) string {
-	opt = opt.withDefaults()
 	ty := func(v float64) (float64, bool) { return v, true }
 	if opt.LogY {
 		ty = logT
@@ -82,7 +74,7 @@ func Chart(opt Options, series ...Series) string {
 		maxY = minY + 1
 	}
 
-	w, h := opt.Width, opt.Height
+	w, h := chartWidth, chartHeight
 	grid := make([][]byte, h)
 	for r := range grid {
 		grid[r] = []byte(strings.Repeat(" ", w))

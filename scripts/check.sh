@@ -155,13 +155,14 @@ echo "== SLEM, physics and Whanau artifacts =="
 # blocked tail-edge propagation, X7's walk-built DHTs), the two
 # evolving-graph trajectories (E1, E2: the only artifacts that run
 # power iteration's λ_n phase and the warm-started tracker), the
-# SybilInfer and defense-comparison extensions (X5, X6) and the
+# SybilLimit admission and attack runs (F8, X1: about 11 s and 8 s),
+# the SybilInfer and defense-comparison extensions (X5, X6) and the
 # distributed estimator's communication sweep (D2) must regenerate
 # byte-identically from the recorded configuration (EXPERIMENTS.md),
 # so a solver, kernel, horizon or walk change that moves any reported
-# digit fails here rather than in a later artifact refresh. F8, X1
-# and D1 take 10-60 s each at this configuration and stay out.
-art_ids="T1 F1 F2 F3 F4 F5 F6 F7 X2 X3 X4 X5 X6 X7 E1 E2 D2"
+# digit fails here rather than in a later artifact refresh. D1 takes
+# about 60 s at this configuration and stays out.
+art_ids="T1 F1 F2 F3 F4 F5 F6 F7 F8 X1 X2 X3 X4 X5 X6 X7 E1 E2 D2"
 art_dir=$(mktemp -d)
 trap 'rm -rf "$art_dir"' EXIT
 go run ./cmd/paperfigs -q -only "$(echo $art_ids | tr ' ' ,)" -scale 0.005 -sources 200 \
