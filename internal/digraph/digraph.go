@@ -12,6 +12,7 @@ package digraph
 
 import (
 	"fmt"
+	"slices"
 
 	"mixtime/internal/graph"
 )
@@ -109,115 +110,67 @@ func (b *Builder) AddNode(v NodeID) {
 	b.any = true
 }
 
-// Build produces the DiGraph.
+// Build produces the DiGraph without a global sort, as
+// graph.Builder.Build does: it fills every arc into its source's row,
+// sorts (when out of order), dedups and compacts each row in place,
+// then transposes the out-lists into the in-lists, which come out
+// sorted by From because the sources are visited in order.
 func (b *Builder) Build() *DiGraph {
 	if !b.any {
 		return &DiGraph{}
 	}
 	n := int(b.maxID) + 1
-	arcs := dedupArcs(b.arcs)
-
-	g := &DiGraph{
-		outOff: make([]int64, n+1),
-		inOff:  make([]int64, n+1),
-		outAdj: make([]NodeID, len(arcs)),
-		inAdj:  make([]NodeID, len(arcs)),
-	}
-	for _, a := range arcs {
-		g.outOff[a.From+1]++
-		g.inOff[a.To+1]++
+	outOff := make([]int64, n+1)
+	for _, a := range b.arcs {
+		outOff[a.From+1]++
 	}
 	for v := 0; v < n; v++ {
-		g.outOff[v+1] += g.outOff[v]
-		g.inOff[v+1] += g.inOff[v]
+		outOff[v+1] += outOff[v]
 	}
-	outCur := make([]int64, n)
-	inCur := make([]int64, n)
-	copy(outCur, g.outOff[:n])
-	copy(inCur, g.inOff[:n])
-	for _, a := range arcs {
-		g.outAdj[outCur[a.From]] = a.To
-		outCur[a.From]++
-		g.inAdj[inCur[a.To]] = a.From
-		inCur[a.To]++
+	// The fill advances outOff[v] from the start of row v to its end,
+	// which is the start of row v+1.
+	outAdj := make([]NodeID, len(b.arcs))
+	for _, a := range b.arcs {
+		outAdj[outOff[a.From]] = a.To
+		outOff[a.From]++
 	}
-	// arcs sorted by (From, To) makes out-lists sorted; in-lists come
-	// out sorted by From for each To because the scan is in From order.
-	return g
-}
-
-// dedupArcs sorts by (From, To) and removes duplicates.
-func dedupArcs(arcs []Arc) []Arc {
-	sorted := append([]Arc(nil), arcs...)
-	// Simple two-key sort.
-	sortArcs(sorted)
-	out := sorted[:0]
-	for i, a := range sorted {
-		if i == 0 || a != sorted[i-1] {
-			out = append(out, a)
+	var lo, w int64
+	for v := 0; v < n; v++ {
+		row := outAdj[lo:outOff[v]]
+		lo = outOff[v]
+		if !slices.IsSorted(row) {
+			slices.Sort(row)
 		}
-	}
-	return out
-}
-
-func sortArcs(arcs []Arc) {
-	// Standard sort on packed keys (uint64) is fastest and simplest.
-	keys := make([]uint64, len(arcs))
-	for i, a := range arcs {
-		keys[i] = uint64(a.From)<<32 | uint64(a.To)
-	}
-	quicksortWith(keys, arcs)
-}
-
-func quicksortWith(keys []uint64, arcs []Arc) {
-	if len(keys) < 2 {
-		return
-	}
-	if len(keys) < 24 {
-		for i := 1; i < len(keys); i++ {
-			k, a := keys[i], arcs[i]
-			j := i - 1
-			for j >= 0 && keys[j] > k {
-				keys[j+1], arcs[j+1] = keys[j], arcs[j]
-				j--
+		outOff[v] = w
+		for i, x := range row {
+			if i == 0 || x != outAdj[w-1] {
+				outAdj[w] = x
+				w++
 			}
-			keys[j+1], arcs[j+1] = k, a
-		}
-		return
-	}
-	// median-of-three pivot
-	mid := len(keys) / 2
-	last := len(keys) - 1
-	if keys[mid] < keys[0] {
-		keys[mid], keys[0] = keys[0], keys[mid]
-		arcs[mid], arcs[0] = arcs[0], arcs[mid]
-	}
-	if keys[last] < keys[0] {
-		keys[last], keys[0] = keys[0], keys[last]
-		arcs[last], arcs[0] = arcs[0], arcs[last]
-	}
-	if keys[last] < keys[mid] {
-		keys[last], keys[mid] = keys[mid], keys[last]
-		arcs[last], arcs[mid] = arcs[mid], arcs[last]
-	}
-	pivot := keys[mid]
-	i, j := 0, last
-	for i <= j {
-		for keys[i] < pivot {
-			i++
-		}
-		for keys[j] > pivot {
-			j--
-		}
-		if i <= j {
-			keys[i], keys[j] = keys[j], keys[i]
-			arcs[i], arcs[j] = arcs[j], arcs[i]
-			i++
-			j--
 		}
 	}
-	quicksortWith(keys[:j+1], arcs[:j+1])
-	quicksortWith(keys[i:], arcs[i:])
+	outOff[n] = w
+	if w < int64(len(outAdj)) {
+		outAdj = slices.Clone(outAdj[:w])
+	}
+
+	inOff := make([]int64, n+1)
+	for _, x := range outAdj {
+		inOff[x+1]++
+	}
+	for v := 0; v < n; v++ {
+		inOff[v+1] += inOff[v]
+	}
+	inAdj := make([]NodeID, w)
+	for v := 0; v < n; v++ {
+		for _, x := range outAdj[outOff[v]:outOff[v+1]] {
+			inAdj[inOff[x]] = NodeID(v)
+			inOff[x]++
+		}
+	}
+	copy(inOff[1:], inOff[:n])
+	inOff[0] = 0
+	return &DiGraph{outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}
 }
 
 // Symmetrize converts the digraph to the undirected graph the paper

@@ -1,8 +1,10 @@
 package digraph
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -78,6 +80,47 @@ func TestInOutConsistency(t *testing.T) {
 	}
 	if outSum != inSum || outSum != g.NumArcs() {
 		t.Fatalf("degree sums out=%d in=%d arcs=%d", outSum, inSum, g.NumArcs())
+	}
+}
+
+// TestBuildMatchesSortedReference: the bucket fill yields exactly the
+// deduplicated arc set, out-lists sorted by To and in-lists by From,
+// whatever order, repeats and self-loops the arcs arrive in.
+func TestBuildMatchesSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	const n = 60
+	b := NewBuilder(0)
+	b.AddNode(n - 1)
+	seen := map[Arc]bool{}
+	for i := 0; i < 2000; i++ {
+		a := Arc{NodeID(rng.IntN(n)), NodeID(rng.IntN(n / 2))}
+		b.AddArc(a.From, a.To)
+		if a.From != a.To {
+			seen[a] = true
+		}
+	}
+	var arcs []Arc
+	for a := range seen {
+		arcs = append(arcs, a)
+	}
+	slices.SortFunc(arcs, func(x, y Arc) int {
+		return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To))
+	})
+	wantOut := make([][]NodeID, n)
+	wantIn := make([][]NodeID, n)
+	for _, a := range arcs {
+		wantOut[a.From] = append(wantOut[a.From], a.To)
+		wantIn[a.To] = append(wantIn[a.To], a.From)
+	}
+	g := b.Build()
+	if g.NumNodes() != n || g.NumArcs() != int64(len(arcs)) {
+		t.Fatalf("n=%d arcs=%d, want n=%d arcs=%d", g.NumNodes(), g.NumArcs(), n, len(arcs))
+	}
+	for v := 0; v < n; v++ {
+		if !slices.Equal(g.Out(NodeID(v)), wantOut[v]) || !slices.Equal(g.In(NodeID(v)), wantIn[v]) {
+			t.Fatalf("node %d: out %v in %v, want out %v in %v",
+				v, g.Out(NodeID(v)), g.In(NodeID(v)), wantOut[v], wantIn[v])
+		}
 	}
 }
 

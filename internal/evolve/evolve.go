@@ -103,8 +103,10 @@ func (mg *MutableGraph) Version() Version {
 // epoch plus the effective inserts through graph.Builder, so the new
 // epoch satisfies every CSR invariant (sorted, deduplicated,
 // loop-free, symmetric) by construction. Inserts may reference node
-// IDs beyond the current range, growing it; the per-graph limit is
-// graph.MaxNodes.
+// IDs beyond the current range, growing it, up to graph.MaxNodes
+// nodes: an inserted ID must be below graph.MaxNodes. That bounds
+// what the CSR can address, not what memory holds; a server caps
+// inserts from untrusted input far lower.
 func (mg *MutableGraph) Apply(b Batch) (Result, error) {
 	del := make(map[uint64]struct{}, len(b.Delete))
 	for _, e := range b.Delete {
@@ -137,7 +139,7 @@ func (mg *MutableGraph) Apply(b Batch) (Result, error) {
 		if e.U == e.V {
 			continue
 		}
-		if int(e.U) > graph.MaxNodes || int(e.V) > graph.MaxNodes {
+		if int(e.U) >= graph.MaxNodes || int(e.V) >= graph.MaxNodes {
 			return Result{}, fmt.Errorf("evolve: edge {%d,%d} exceeds MaxNodes", e.U, e.V)
 		}
 		key := edgeKey(e.U, e.V)

@@ -3,7 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Edge is an undirected edge between two vertices.
@@ -53,77 +53,66 @@ func (b *Builder) AddNode(v NodeID) {
 // recorded so far.
 func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 
-// Build produces the graph. The Builder keeps its state and may be
-// extended and built again.
+// Build produces the graph without a global sort: it counts each
+// node's incidences, fills both directions of every edge into one
+// array, then sorts, dedups and compacts each row in place, so the
+// offsets of the count become those of the CSR. That is O(n + m)
+// plus O(d log d) for each row of degree d that arrives out of
+// order; edges recorded in (u, v) order leave every row sorted. The
+// Builder keeps its state and may be extended and built again.
 //
-// Build panics when the deduplicated edges number 2³¹ or more: their
-// adjacency length 2m would not fit the graph's uint32 CSR offsets.
-// Loaders of untrusted input (graphio) bound their edge count before
-// they reach it.
+// Build panics when the recorded edges, duplicates included, number
+// 2³¹ or more: the fill indexes them with the graph's uint32 CSR
+// offsets. Loaders of untrusted input (graphio) bound their edge
+// count before they reach it.
 func (b *Builder) Build() *Graph {
 	if !b.any {
 		return &Graph{}
 	}
-	n := int(b.maxID) + 1
-
-	// Sort and dedup the normalized (u<v) edge list.
-	es := make([]Edge, len(b.edges))
-	copy(es, b.edges)
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].U != es[j].U {
-			return es[i].U < es[j].U
-		}
-		return es[i].V < es[j].V
-	})
-	uniq := es[:0]
-	for i, e := range es {
-		if i == 0 || e != es[i-1] {
-			uniq = append(uniq, e)
-		}
-	}
-	es = uniq
-
-	if 2*int64(len(es)) > math.MaxUint32 {
+	if 2*int64(len(b.edges)) > math.MaxUint32 {
 		panic(fmt.Sprintf("graph: %d edges exceed the uint32 CSR limit of 2³¹−1 (adjacency length 2m ≤ %d)",
-			len(es), uint32(math.MaxUint32)))
+			len(b.edges), uint32(math.MaxUint32)))
 	}
+	n := int(b.maxID) + 1
 	offsets := make([]uint32, n+1)
-	for _, e := range es {
+	for _, e := range b.edges {
 		offsets[e.U+1]++
 		offsets[e.V+1]++
 	}
 	for v := 0; v < n; v++ {
 		offsets[v+1] += offsets[v]
 	}
+	// The fill advances offsets[v] from the start of row v to its
+	// end, which is the start of row v+1.
 	neighbors := make([]NodeID, offsets[n])
-	cursor := make([]uint32, n)
-	copy(cursor, offsets[:n])
-	for _, e := range es {
-		neighbors[cursor[e.U]] = e.V
-		cursor[e.U]++
-		neighbors[cursor[e.V]] = e.U
-		cursor[e.V]++
+	for _, e := range b.edges {
+		neighbors[offsets[e.U]] = e.V
+		offsets[e.U]++
+		neighbors[offsets[e.V]] = e.U
+		offsets[e.V]++
 	}
-	// Adjacency lists come out sorted because edges were processed in
-	// (U,V) order for the U side; the V side needs a per-node sort only
-	// when sources interleave, so sort defensively (cheap: lists are
-	// already nearly sorted).
+	// Compact row v from [lo, offsets[v]) down to [w, ...): w never
+	// passes lo, so no row is overwritten before it is read.
+	var lo, w uint32
 	for v := 0; v < n; v++ {
-		adj := neighbors[offsets[v]:offsets[v+1]]
-		if !sorted(adj) {
-			sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
+		row := neighbors[lo:offsets[v]]
+		lo = offsets[v]
+		if !slices.IsSorted(row) {
+			slices.Sort(row)
 		}
+		offsets[v] = w
+		for i, x := range row {
+			if i == 0 || x != neighbors[w-1] {
+				neighbors[w] = x
+				w++
+			}
+		}
+	}
+	offsets[n] = w
+	if int(w) < len(neighbors) {
+		neighbors = slices.Clone(neighbors[:w])
 	}
 	return &Graph{offsets: offsets, neighbors: neighbors}
-}
-
-func sorted(a []NodeID) bool {
-	for i := 1; i < len(a); i++ {
-		if a[i-1] > a[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // FromEdges builds a graph with n nodes from an edge list. If n is 0

@@ -8,7 +8,8 @@
 // directed inputs are symmetrized at build time, matching the
 // preprocessing used by the paper and by the Sybil-defense literature
 // it measures. CSR offsets are uint32, so a graph holds at most 2³¹−1
-// undirected edges; Builder.Build panics past that.
+// undirected edges; Builder.Build panics when it has recorded more,
+// duplicates included.
 package graph
 
 import (

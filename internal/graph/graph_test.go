@@ -428,19 +428,3 @@ func TestQuickTrim(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkBuild100k(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	edges := make([]Edge, 100_000)
-	for i := range edges {
-		edges[i] = Edge{NodeID(rng.IntN(20_000)), NodeID(rng.IntN(20_000))}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bl := NewBuilder(len(edges))
-		for _, e := range edges {
-			bl.AddEdge(e.U, e.V)
-		}
-		_ = bl.Build()
-	}
-}

@@ -2,12 +2,15 @@ package service
 
 import (
 	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
 	"mixtime/internal/api"
+	"mixtime/internal/graphio"
 	"mixtime/internal/telemetry"
 )
 
@@ -138,6 +141,42 @@ func TestMutateInsertDelete(t *testing.T) {
 	}
 	if mres.Deleted != 1 || mres.Version != 2 {
 		t.Fatalf("delete: %+v, want 1 deleted at version 2", mres)
+	}
+}
+
+// TestMutateCapsInsertedNodes: an insert naming a node at or past
+// graphio.MaxLoadNodes would size the next epoch's CSR from untrusted
+// input, so it is refused with 400 and the version stays put; one
+// just below the cap applies.
+func TestMutateCapsInsertedNodes(t *testing.T) {
+	const limit = 1000 // well above physics-1@0.002's nodes
+	old := graphio.MaxLoadNodes
+	graphio.MaxLoadNodes = limit // before the server's goroutines start
+	t.Cleanup(func() { graphio.MaxLoadNodes = old })
+	_, c := newMutableServer(t)
+	ctx := context.Background()
+
+	for _, e := range []api.EdgeSpec{{U: 0, V: limit}, {U: limit + 7, V: 1}} {
+		_, err := c.Mutate(ctx, api.MutateRequest{Graph: "physics-1", Insert: []api.EdgeSpec{e}})
+		var se *api.StatusError
+		if !errors.As(err, &se) || se.StatusCode != http.StatusBadRequest {
+			t.Fatalf("insert %v: err %v, want a 400", e, err)
+		}
+	}
+	gs, err := c.Graphs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gs.Graphs[0].Version != 0 {
+		t.Fatalf("refused inserts moved the version to %d", gs.Graphs[0].Version)
+	}
+	mres, err := c.Mutate(ctx, api.MutateRequest{Graph: "physics-1",
+		Insert: []api.EdgeSpec{{U: 0, V: limit - 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mres.Version != 1 || mres.Nodes != limit {
+		t.Fatalf("insert below the cap: version %d, %d nodes; want 1, %d", mres.Version, mres.Nodes, limit)
 	}
 }
 

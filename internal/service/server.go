@@ -40,6 +40,7 @@ import (
 	"mixtime/internal/evolve"
 	"mixtime/internal/faults"
 	"mixtime/internal/graph"
+	"mixtime/internal/graphio"
 	"mixtime/internal/runner"
 	"mixtime/internal/telemetry"
 )
@@ -433,6 +434,15 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 
 	var batch evolve.Batch
 	for _, es := range req.Insert {
+		// An inserted node ID sizes the next epoch's CSR, so one
+		// request could otherwise demand gigabytes: inserts get the
+		// cap the loaders apply to untrusted input.
+		if uint64(es.U) >= graphio.MaxLoadNodes || uint64(es.V) >= graphio.MaxLoadNodes {
+			s.mutateFail(w, http.StatusBadRequest, req.Graph,
+				fmt.Errorf("service: insert {%d,%d} exceeds the node limit %d (graphio.MaxLoadNodes)",
+					es.U, es.V, graphio.MaxLoadNodes))
+			return
+		}
 		batch.Insert = append(batch.Insert, graph.Edge{U: graph.NodeID(es.U), V: graph.NodeID(es.V)})
 	}
 	for _, es := range req.Delete {

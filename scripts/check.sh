@@ -59,12 +59,14 @@ go test -race -count=1 ./internal/runner ./internal/telemetry ./internal/checkpo
 
 echo "== fuzz corpus =="
 # Execute the seed corpus of every fuzz target (no fuzzing engine —
-# deterministic and fast): the graphio readers, the query decoder and
-# the result cache's warm load. Longer exploration:
+# deterministic and fast): the graph Builder and Subgraph against
+# their sort-based reference, the graphio readers, the query decoder
+# and the result cache's warm load. Longer exploration:
+#   go test -fuzz=FuzzBuild -fuzztime=30s ./internal/graph
 #   go test -fuzz=FuzzReadMIXG -fuzztime=30s ./internal/graphio
 #   go test -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/api
 #   go test -fuzz=FuzzWarmLoad -fuzztime=30s ./internal/service
-go test -run='^Fuzz' ./internal/graphio ./internal/api ./internal/service
+go test -run='^Fuzz' ./internal/graph ./internal/graphio ./internal/api ./internal/service
 
 echo "== paperfigs fault injection =="
 # The runner's containment paths through the real binary, armed with
