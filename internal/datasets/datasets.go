@@ -194,17 +194,17 @@ func dblpLike(cliqueSize int, rewire float64) func(int, *rand.Rand) *graph.Graph
 		if cliques < 2 {
 			cliques = 2
 		}
-		g := gen.RelaxedCaveman(cliques, cliqueSize, rewire, rng)
-		rest := n - g.NumNodes()
+		b := graph.NewBuilder(n * cliqueSize / 2)
+		gen.AddRelaxedCaveman(b, cliques, cliqueSize, rewire, rng)
 		// Split the fringe budget over pendant structure sizes 1..5
 		// (size s vanishes when trimming to min degree s+1).
-		per := rest / 5
-		g = gen.WithPendants(g, per, rng)     // degree 1
-		g = gen.WithCliques(g, per/2, 2, rng) // pendant edges (degree 1-2)
-		g = gen.WithCliques(g, per/3, 3, rng) // triangles (degree 2)
-		g = gen.WithCliques(g, per/4, 4, rng) // K4 (degree 3)
-		g = gen.WithCliques(g, per/5, 5, rng) // K5 (degree 4)
-		return g
+		per := (n - b.NumNodes()) / 5
+		gen.AddPendants(b, per, rng)     // degree 1
+		gen.AddCliques(b, per/2, 2, rng) // pendant edges (degree 1-2)
+		gen.AddCliques(b, per/3, 3, rng) // triangles (degree 2)
+		gen.AddCliques(b, per/4, 4, rng) // K4 (degree 3)
+		gen.AddCliques(b, per/5, 5, rng) // K5 (degree 4)
+		return b.Build()
 	}
 }
 

@@ -40,14 +40,22 @@ type pinned struct {
 }
 
 // pinnedGraphs is what TestGeneratePinned hashes: all fifteen Table-1
-// substitutes at scale 0.005, seed 1, then the transforms the
-// experiments apply to them, on dblp (the one substitute whose 3-core
-// is disconnected, so LargestComponent drops nodes and BFS relabels
-// out of order).
+// substitutes at scale 0.005, seed 1; the repository benchmark's
+// set-up graphs at their own scales (only these reach CommunityBA's
+// full-size communities); then the transforms the experiments apply,
+// on dblp (the one substitute whose 3-core is disconnected, so
+// LargestComponent drops nodes and BFS relabels out of order).
 func pinnedGraphs() []pinned {
 	var out []pinned
 	for _, d := range All() {
 		out = append(out, pinned{d.Name, d.Generate(0.005, 1)})
+	}
+	for _, b := range []struct {
+		name  string
+		scale float64
+	}{{"wiki-vote", 0.1}, {"physics-1", 0.1}, {"facebook-A", 0.02}, {"physics-2", 0.05}} {
+		d, _ := ByName(b.name)
+		out = append(out, pinned{fmt.Sprintf("%s@%v", b.name, b.scale), d.Generate(b.scale, 1)})
 	}
 	d, _ := ByName("dblp")
 	g := d.Generate(0.005, 1)

@@ -12,7 +12,6 @@ package digraph
 
 import (
 	"fmt"
-	"slices"
 
 	"mixtime/internal/graph"
 )
@@ -21,11 +20,14 @@ import (
 type NodeID = graph.NodeID
 
 // DiGraph is an immutable simple directed graph in CSR form (both
-// out- and in-adjacency). The zero value is an empty graph.
+// out- and in-adjacency). The zero value is an empty graph. Offsets
+// are uint32, as in graph.Graph, so a digraph holds at most 2³²−1
+// arcs; Builder.Build panics when it has recorded more, duplicates
+// included.
 type DiGraph struct {
-	outOff []int64
+	outOff []uint32
 	outAdj []NodeID
-	inOff  []int64
+	inOff  []uint32
 	inAdj  []NodeID
 }
 
@@ -79,27 +81,21 @@ type Arc struct{ From, To NodeID }
 // Builder accumulates arcs; duplicates and self-loops are dropped at
 // Build.
 type Builder struct {
-	arcs  []Arc
+	arcs  []graph.Edge // U is the arc's tail, V its head
 	maxID NodeID
 	any   bool
 }
 
 // NewBuilder returns a Builder with capacity for sizeHint arcs.
-func NewBuilder(sizeHint int) *Builder { return &Builder{arcs: make([]Arc, 0, sizeHint)} }
+func NewBuilder(sizeHint int) *Builder { return &Builder{arcs: make([]graph.Edge, 0, sizeHint)} }
 
 // AddArc records the arc u→v (self-loops ignored).
 func (b *Builder) AddArc(u, v NodeID) {
 	if u == v {
 		return
 	}
-	if u > b.maxID {
-		b.maxID = u
-	}
-	if v > b.maxID {
-		b.maxID = v
-	}
-	b.any = true
-	b.arcs = append(b.arcs, Arc{u, v})
+	b.AddNode(max(u, v))
+	b.arcs = append(b.arcs, graph.Edge{U: u, V: v})
 }
 
 // AddNode extends the node range to cover v.
@@ -110,58 +106,23 @@ func (b *Builder) AddNode(v NodeID) {
 	b.any = true
 }
 
-// Build produces the DiGraph without a global sort, as
-// graph.Builder.Build does: it fills every arc into its source's row,
-// sorts (when out of order), dedups and compacts each row in place,
-// then transposes the out-lists into the in-lists, which come out
-// sorted by From because the sources are visited in order.
+// Build produces the DiGraph: the out-lists are graph.FillRows of the
+// arcs, and the in-lists their transpose, which comes out sorted by
+// tail because the tails are visited in order.
 func (b *Builder) Build() *DiGraph {
 	if !b.any {
 		return &DiGraph{}
 	}
 	n := int(b.maxID) + 1
-	outOff := make([]int64, n+1)
-	for _, a := range b.arcs {
-		outOff[a.From+1]++
-	}
-	for v := 0; v < n; v++ {
-		outOff[v+1] += outOff[v]
-	}
-	// The fill advances outOff[v] from the start of row v to its end,
-	// which is the start of row v+1.
-	outAdj := make([]NodeID, len(b.arcs))
-	for _, a := range b.arcs {
-		outAdj[outOff[a.From]] = a.To
-		outOff[a.From]++
-	}
-	var lo, w int64
-	for v := 0; v < n; v++ {
-		row := outAdj[lo:outOff[v]]
-		lo = outOff[v]
-		if !slices.IsSorted(row) {
-			slices.Sort(row)
-		}
-		outOff[v] = w
-		for i, x := range row {
-			if i == 0 || x != outAdj[w-1] {
-				outAdj[w] = x
-				w++
-			}
-		}
-	}
-	outOff[n] = w
-	if w < int64(len(outAdj)) {
-		outAdj = slices.Clone(outAdj[:w])
-	}
-
-	inOff := make([]int64, n+1)
+	outOff, outAdj := graph.FillRows(n, b.arcs, false)
+	inOff := make([]uint32, n+1)
 	for _, x := range outAdj {
 		inOff[x+1]++
 	}
 	for v := 0; v < n; v++ {
 		inOff[v+1] += inOff[v]
 	}
-	inAdj := make([]NodeID, w)
+	inAdj := make([]NodeID, len(outAdj))
 	for v := 0; v < n; v++ {
 		for _, x := range outAdj[outOff[v]:outOff[v+1]] {
 			inAdj[inOff[x]] = NodeID(v)

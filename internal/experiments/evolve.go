@@ -211,7 +211,7 @@ func EvolveAttackContext(ctx context.Context, cfg Config, obs runner.Observer) (
 		if err != nil {
 			return nil, fmt.Errorf("experiments: evolve-attack: %w", err)
 		}
-		honest, _ := graph.LargestComponent(ds.Generate(cfg.Scale, cfg.Seed))
+		honest := ds.Generate(cfg.Scale, cfg.Seed)
 		base, err := spectral.SLEMContext(ctx, honest, spectralOptions(cfg))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: evolve-attack %s baseline: %w", name, err)

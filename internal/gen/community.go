@@ -107,21 +107,33 @@ func RelaxedCaveman(numCliques, cliqueSize int, rewire float64, rng *rand.Rand) 
 	if numCliques <= 0 || cliqueSize <= 0 {
 		return &graph.Graph{}
 	}
-	n := numCliques * cliqueSize
 	b := graph.NewBuilder(numCliques * cliqueSize * (cliqueSize - 1) / 2)
-	b.AddNode(graph.NodeID(n - 1))
+	AddRelaxedCaveman(b, numCliques, cliqueSize, rewire, rng)
+	return b.Build()
+}
+
+// AddRelaxedCaveman adds RelaxedCaveman(numCliques, cliqueSize,
+// rewire, rng)'s edges to b on the numCliques·cliqueSize nodes that
+// follow the ones b holds.
+func AddRelaxedCaveman(b *graph.Builder, numCliques, cliqueSize int, rewire float64, rng *rand.Rand) {
+	if numCliques <= 0 || cliqueSize <= 0 {
+		return
+	}
+	n := numCliques * cliqueSize
+	base := b.NumNodes()
+	b.AddNode(graph.NodeID(base + n - 1))
 	for c := 0; c < numCliques; c++ {
-		base := c * cliqueSize
+		first := c * cliqueSize
 		for i := 0; i < cliqueSize; i++ {
 			for j := i + 1; j < cliqueSize; j++ {
-				u, v := base+i, base+j
+				u, v := first+i, first+j
 				if rng.Float64() < rewire {
 					v = rng.IntN(n)
 					for v == u {
 						v = rng.IntN(n)
 					}
 				}
-				b.AddEdge(graph.NodeID(u), graph.NodeID(v))
+				b.AddEdge(graph.NodeID(base+u), graph.NodeID(base+v))
 			}
 		}
 	}
@@ -130,9 +142,8 @@ func RelaxedCaveman(numCliques, cliqueSize int, rewire float64, rng *rand.Rand) 
 	for c := 0; c+1 < numCliques; c++ {
 		u := c*cliqueSize + rng.IntN(cliqueSize)
 		v := (c+1)*cliqueSize + rng.IntN(cliqueSize)
-		b.AddEdge(graph.NodeID(u), graph.NodeID(v))
+		b.AddEdge(graph.NodeID(base+u), graph.NodeID(base+v))
 	}
-	return b.Build()
 }
 
 // CommunityBA builds k Barabási–Albert communities of size size and
@@ -145,14 +156,8 @@ func CommunityBA(k, size, kAttach int, bridges int, rng *rand.Rand) *graph.Graph
 	}
 	n := k * size
 	b := graph.NewBuilder(n*kAttach + bridges)
-	b.AddNode(graph.NodeID(n - 1))
 	for c := 0; c < k; c++ {
-		base := graph.NodeID(c * size)
-		community := BarabasiAlbert(size, kAttach, rng)
-		community.Edges(func(u, v graph.NodeID) bool {
-			b.AddEdge(base+u, base+v)
-			return true
-		})
+		addBarabasiAlbert(b, size, kAttach, rng)
 	}
 	for i := 0; i < bridges; i++ {
 		c1 := rng.IntN(k)
@@ -167,42 +172,32 @@ func CommunityBA(k, size, kAttach int, bridges int, rng *rand.Rand) *graph.Graph
 	return b.Build()
 }
 
-// WithPendants attaches extra degree-1 nodes to g: each new node links
-// to one uniformly random existing node. DBLP-style graphs have long
-// low-degree fringes; these pendants are what the SybilGuard-style
-// trimming of Figure 6 removes.
-func WithPendants(g *graph.Graph, pendants int, rng *rand.Rand) *graph.Graph {
-	if g.NumNodes() == 0 || pendants <= 0 {
-		return g
+// AddPendants attaches pendants extra degree-1 nodes to the nodes b
+// holds: each new node links to one uniformly random existing node.
+// DBLP-style graphs have long low-degree fringes; these pendants are
+// what the SybilGuard-style trimming of Figure 6 removes.
+func AddPendants(b *graph.Builder, pendants int, rng *rand.Rand) {
+	n := b.NumNodes()
+	if n == 0 {
+		return
 	}
-	n := g.NumNodes()
-	b := graph.NewBuilder(int(g.NumEdges()) + pendants)
-	g.Edges(func(u, v graph.NodeID) bool {
-		b.AddEdge(u, v)
-		return true
-	})
 	for i := 0; i < pendants; i++ {
 		b.AddEdge(graph.NodeID(n+i), graph.NodeID(rng.IntN(n)))
 	}
-	return b.Build()
 }
 
-// WithCliques attaches count cliques of size size to g, each joined
-// to a uniformly random existing node by a single edge. A pendant
-// K_s clique survives trimming up to min degree s−1 and disappears at
-// min degree s (its members have degree s−1, except the anchor link),
-// so a mix of clique sizes reproduces the gradual size reduction the
-// paper reports when trimming DBLP at levels 1→5 (Figure 6).
-func WithCliques(g *graph.Graph, count, size int, rng *rand.Rand) *graph.Graph {
-	if g.NumNodes() == 0 || count <= 0 || size <= 0 {
-		return g
+// AddCliques attaches count cliques of size size to the nodes b
+// holds, each joined to a uniformly random existing node by a single
+// edge. A pendant K_s clique survives trimming up to min degree s−1
+// and disappears at min degree s (its members have degree s−1, except
+// the anchor link), so a mix of clique sizes reproduces the gradual
+// size reduction the paper reports when trimming DBLP at levels 1→5
+// (Figure 6).
+func AddCliques(b *graph.Builder, count, size int, rng *rand.Rand) {
+	n := b.NumNodes()
+	if n == 0 || size <= 0 {
+		return
 	}
-	n := g.NumNodes()
-	b := graph.NewBuilder(int(g.NumEdges()) + count*size*(size-1)/2)
-	g.Edges(func(u, v graph.NodeID) bool {
-		b.AddEdge(u, v)
-		return true
-	})
 	next := n
 	for i := 0; i < count; i++ {
 		for a := 0; a < size; a++ {
@@ -213,5 +208,4 @@ func WithCliques(g *graph.Graph, count, size int, rng *rand.Rand) *graph.Graph {
 		b.AddEdge(graph.NodeID(next), graph.NodeID(rng.IntN(n)))
 		next += size
 	}
-	return b.Build()
 }

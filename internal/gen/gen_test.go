@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -107,6 +108,13 @@ func TestWattsStrogatz(t *testing.T) {
 	// Each node initiates 3 edges; rewiring can merge a few.
 	if m := g.NumEdges(); m < 850 || m > 900 {
 		t.Fatalf("m = %d, want ≈900", m)
+	}
+	// A lone node has nothing to rewire to: 1 node, 0 edges, for any
+	// seed.
+	for seed := uint64(1); seed <= 4; seed++ {
+		if g := WattsStrogatz(1, 3, 0.5, rng(seed)); g.NumNodes() != 1 || g.NumEdges() != 0 {
+			t.Fatalf("1-node WS (seed %d): n=%d m=%d", seed, g.NumNodes(), g.NumEdges())
+		}
 	}
 	// beta=0 is the deterministic ring lattice.
 	lattice := WattsStrogatz(50, 2, 0, rng(5))
@@ -274,8 +282,11 @@ func TestCommunityBA(t *testing.T) {
 }
 
 func TestWithPendantsAndChains(t *testing.T) {
-	base := Complete(10)
-	withP := WithPendants(base, 30, rng(15))
+	r := rng(15)
+	b := graph.NewBuilder(0)
+	AddRelaxedCaveman(b, 1, 10, 0, r) // one unrewired cave: K10
+	AddPendants(b, 30, r)
+	withP := b.Build()
 	validate(t, withP)
 	if withP.NumNodes() != 40 || withP.NumEdges() != 45+30 {
 		t.Fatalf("pendants: %v", withP)
@@ -351,14 +362,20 @@ func TestDegenerateInputs(t *testing.T) {
 			t.Errorf("%s: n=%d m=%d, want lone node", name, g.NumNodes(), g.NumEdges())
 		}
 	}
-	// Augmenters on empty / zero-count inputs return the input.
-	empty := &graph.Graph{}
-	if WithPendants(empty, 5, r) != empty {
-		t.Error("WithPendants on empty graph")
+	// Augmenters add nothing to an empty builder, or with a zero
+	// count or size.
+	b := graph.NewBuilder(0)
+	AddPendants(b, 5, r)
+	AddCliques(b, 5, 3, r)
+	if b.NumNodes() != 0 || b.NumPendingEdges() != 0 {
+		t.Errorf("augmenters on an empty builder: n=%d, %d edges", b.NumNodes(), b.NumPendingEdges())
 	}
-	base := Complete(4)
-	if WithCliques(base, 2, 0, r) != base {
-		t.Error("zero-count augmenters should return the input graph")
+	b.AddEdge(0, 1)
+	AddPendants(b, 0, r)
+	AddCliques(b, 2, 0, r)
+	AddCliques(b, 0, 3, r)
+	if b.NumNodes() != 2 || b.NumPendingEdges() != 1 {
+		t.Errorf("zero-count augmenters: n=%d, %d edges, want 2 and 1", b.NumNodes(), b.NumPendingEdges())
 	}
 }
 
@@ -368,15 +385,7 @@ func TestGeneratorsDeterministicFromSeed(t *testing.T) {
 	if a.NumEdges() != b.NumEdges() {
 		t.Fatalf("same seed, different edge counts: %d vs %d", a.NumEdges(), b.NumEdges())
 	}
-	same := true
-	a.Edges(func(u, v graph.NodeID) bool {
-		if !b.HasEdge(u, v) {
-			same = false
-			return false
-		}
-		return true
-	})
-	if !same {
+	if !slices.Equal(a.Offsets32(), b.Offsets32()) || !slices.Equal(a.Adjacency(), b.Adjacency()) {
 		t.Fatal("same seed produced different graphs")
 	}
 }

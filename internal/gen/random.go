@@ -3,6 +3,7 @@ package gen
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"mixtime/internal/graph"
 )
@@ -74,7 +75,9 @@ func ErdosRenyiM(n int, m int64, rng *rand.Rand) *graph.Graph {
 
 // WattsStrogatz samples the small-world model: a ring lattice where
 // every node connects to its k nearest neighbours on each side, with
-// each edge rewired to a uniform endpoint with probability beta.
+// each edge rewired to a uniform endpoint with probability beta. A
+// lone node has no other endpoint to rewire to, so it is never
+// rewired.
 func WattsStrogatz(n, k int, beta float64, rng *rand.Rand) *graph.Graph {
 	if n <= 0 {
 		return &graph.Graph{}
@@ -84,7 +87,7 @@ func WattsStrogatz(n, k int, beta float64, rng *rand.Rand) *graph.Graph {
 	for v := 0; v < n; v++ {
 		for j := 1; j <= k; j++ {
 			w := (v + j) % n
-			if beta > 0 && rng.Float64() < beta {
+			if n > 1 && beta > 0 && rng.Float64() < beta {
 				w = rng.IntN(n)
 				for w == v {
 					w = rng.IntN(n)
@@ -105,42 +108,45 @@ func BarabasiAlbert(n, k int, rng *rand.Rand) *graph.Graph {
 	if n <= 0 {
 		return &graph.Graph{}
 	}
+	b := graph.NewBuilder(n * max(k, 1))
+	addBarabasiAlbert(b, n, k, rng)
+	return b.Build()
+}
+
+// addBarabasiAlbert adds BarabasiAlbert(n, k, rng)'s edges to b on
+// the n nodes that follow the ones b holds.
+func addBarabasiAlbert(b *graph.Builder, n, k int, rng *rand.Rand) {
+	if n <= 0 {
+		return
+	}
 	if k < 1 {
 		k = 1
 	}
-	seed := k + 1
-	if seed > n {
-		seed = n
-	}
-	b := graph.NewBuilder(n * k)
-	b.AddNode(graph.NodeID(n - 1))
+	seed := min(k+1, n)
+	base := graph.NodeID(b.NumNodes())
+	b.AddNode(base + graph.NodeID(n-1))
 	// repeated holds every edge endpoint once per incidence, so
 	// sampling a uniform element is degree-proportional sampling.
 	repeated := make([]graph.NodeID, 0, 2*n*k)
-	for i := 0; i < seed; i++ {
-		for j := i + 1; j < seed; j++ {
-			b.AddEdge(graph.NodeID(i), graph.NodeID(j))
-			repeated = append(repeated, graph.NodeID(i), graph.NodeID(j))
+	for i := graph.NodeID(0); i < graph.NodeID(seed); i++ {
+		for j := i + 1; j < graph.NodeID(seed); j++ {
+			b.AddEdge(base+i, base+j)
+			repeated = append(repeated, i, j)
 		}
 	}
-	seen := make(map[graph.NodeID]bool, k)
 	targets := make([]graph.NodeID, 0, k)
-	for v := seed; v < n; v++ {
-		clear(seen)
+	for v := graph.NodeID(seed); v < graph.NodeID(n); v++ {
 		targets = targets[:0]
-		for len(targets) < k && len(targets) < v {
-			t := repeated[rng.IntN(len(repeated))]
-			if !seen[t] {
-				seen[t] = true
+		for len(targets) < k && len(targets) < int(v) {
+			if t := repeated[rng.IntN(len(repeated))]; !slices.Contains(targets, t) {
 				targets = append(targets, t)
 			}
 		}
 		for _, t := range targets {
-			b.AddEdge(graph.NodeID(v), t)
-			repeated = append(repeated, graph.NodeID(v), t)
+			b.AddEdge(base+v, base+t)
+			repeated = append(repeated, v, t)
 		}
 	}
-	return b.Build()
 }
 
 // PowerLawDegrees samples n degrees from a discrete power law

@@ -53,13 +53,18 @@ func (b *Builder) AddNode(v NodeID) {
 // recorded so far.
 func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 
-// Build produces the graph without a global sort: it counts each
-// node's incidences, fills both directions of every edge into one
-// array, then sorts, dedups and compacts each row in place, so the
-// offsets of the count become those of the CSR. That is O(n + m)
-// plus O(d log d) for each row of degree d that arrives out of
-// order; edges recorded in (u, v) order leave every row sorted. The
-// Builder keeps its state and may be extended and built again.
+// NumNodes returns the node count Build would produce now: one past
+// the largest recorded node, or 0 before any.
+func (b *Builder) NumNodes() int {
+	if !b.any {
+		return 0
+	}
+	return int(b.maxID) + 1
+}
+
+// Build produces the graph from both directions of every recorded
+// edge (see FillRows). The Builder keeps its state and may be
+// extended and built again.
 //
 // Build panics when the recorded edges, duplicates included, number
 // 2³¹ or more: the fill indexes them with the graph's uint32 CSR
@@ -69,50 +74,75 @@ func (b *Builder) Build() *Graph {
 	if !b.any {
 		return &Graph{}
 	}
-	if 2*int64(len(b.edges)) > math.MaxUint32 {
-		panic(fmt.Sprintf("graph: %d edges exceed the uint32 CSR limit of 2³¹−1 (adjacency length 2m ≤ %d)",
-			len(b.edges), uint32(math.MaxUint32)))
+	offsets, neighbors := FillRows(b.NumNodes(), b.edges, true)
+	return &Graph{offsets: offsets, neighbors: neighbors}
+}
+
+// FillRows returns the CSR of n rows in which row e.U holds e.V for
+// every e in pairs and, when symmetric is set, row e.V holds e.U too;
+// every row comes out sorted and deduplicated. It runs without a
+// global sort: it counts each row's entries, fills them into one
+// array, then sorts, dedups and compacts each row in place, so the
+// offsets of the count become those of the CSR. That is O(n + m)
+// plus O(d log d) for each row of degree d that arrives out of
+// order; pairs recorded in (U, V) order leave every row sorted. The
+// result depends only on n and the set of pairs, not on their order.
+// Both Builder.Build and the directed graph's builder use it.
+//
+// FillRows panics when the fill, duplicates included, reaches 2³²
+// entries: the offsets are uint32.
+func FillRows(n int, pairs []Edge, symmetric bool) (offsets []uint32, adj []NodeID) {
+	fill := int64(len(pairs))
+	if symmetric {
+		fill *= 2
 	}
-	n := int(b.maxID) + 1
-	offsets := make([]uint32, n+1)
-	for _, e := range b.edges {
+	if fill > math.MaxUint32 {
+		panic(fmt.Sprintf("graph: %d pairs fill %d CSR entries, past the uint32 offset limit %d",
+			len(pairs), fill, uint32(math.MaxUint32)))
+	}
+	offsets = make([]uint32, n+1)
+	for _, e := range pairs {
 		offsets[e.U+1]++
-		offsets[e.V+1]++
+		if symmetric {
+			offsets[e.V+1]++
+		}
 	}
 	for v := 0; v < n; v++ {
 		offsets[v+1] += offsets[v]
 	}
 	// The fill advances offsets[v] from the start of row v to its
 	// end, which is the start of row v+1.
-	neighbors := make([]NodeID, offsets[n])
-	for _, e := range b.edges {
-		neighbors[offsets[e.U]] = e.V
+	adj = make([]NodeID, fill)
+	for _, e := range pairs {
+		adj[offsets[e.U]] = e.V
 		offsets[e.U]++
-		neighbors[offsets[e.V]] = e.U
-		offsets[e.V]++
+		if symmetric {
+			adj[offsets[e.V]] = e.U
+			offsets[e.V]++
+		}
 	}
 	// Compact row v from [lo, offsets[v]) down to [w, ...): w never
 	// passes lo, so no row is overwritten before it is read.
 	var lo, w uint32
 	for v := 0; v < n; v++ {
-		row := neighbors[lo:offsets[v]]
+		row := adj[lo:offsets[v]]
 		lo = offsets[v]
 		if !slices.IsSorted(row) {
 			slices.Sort(row)
 		}
 		offsets[v] = w
 		for i, x := range row {
-			if i == 0 || x != neighbors[w-1] {
-				neighbors[w] = x
+			if i == 0 || x != adj[w-1] {
+				adj[w] = x
 				w++
 			}
 		}
 	}
 	offsets[n] = w
-	if int(w) < len(neighbors) {
-		neighbors = slices.Clone(neighbors[:w])
+	if int(w) < len(adj) {
+		adj = slices.Clone(adj[:w])
 	}
-	return &Graph{offsets: offsets, neighbors: neighbors}
+	return offsets, adj
 }
 
 // FromEdges builds a graph with n nodes from an edge list. If n is 0

@@ -28,11 +28,3 @@ func FromCSR32(offsets []uint32, neighbors []NodeID) (*Graph, error) {
 	}
 	return g, nil
 }
-
-// CSRSizes returns the CSR array lengths a graph with n nodes and m
-// undirected edges occupies: n+1 offsets and 2m adjacency entries.
-// Loaders use it to sanity-check declared counts against input size
-// before allocating.
-func CSRSizes(n, m int64) (offsets, neighbors int64) {
-	return n + 1, 2 * m
-}

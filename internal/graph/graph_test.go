@@ -181,6 +181,17 @@ func TestLargestComponent(t *testing.T) {
 	if !IsConnected(lcc) {
 		t.Fatal("LCC not connected")
 	}
+	// A connected graph is its own largest component: the same
+	// *Graph comes back, with the identity map.
+	conn, ids := LargestComponent(lcc)
+	if conn != lcc || len(ids) != lcc.NumNodes() {
+		t.Fatalf("connected input copied (%p vs %p) or map of %d nodes", conn, lcc, len(ids))
+	}
+	for v, id := range ids {
+		if id != NodeID(v) {
+			t.Fatalf("identity map %v", ids)
+		}
+	}
 }
 
 func TestSubgraphMapping(t *testing.T) {

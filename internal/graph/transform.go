@@ -102,10 +102,21 @@ func IsConnected(g *Graph) bool {
 // to [0, k). The mixing time is undefined for disconnected graphs, so
 // the paper measures the largest component of every dataset. The
 // second return value maps new IDs to original IDs.
+//
+// A connected g is returned itself, with the identity map, rather
+// than copied: the result then shares g's storage and lifetime (for a
+// graphio.MappedGraph, it is valid only until Close).
 func LargestComponent(g *Graph) (*Graph, []NodeID) {
 	labels, sizes := ConnectedComponents(g)
 	if len(sizes) == 0 {
 		return &Graph{}, nil
+	}
+	if len(sizes) == 1 {
+		ids := make([]NodeID, len(labels))
+		for v := range ids {
+			ids[v] = NodeID(v)
+		}
+		return g, ids
 	}
 	best := 0
 	for i, s := range sizes {

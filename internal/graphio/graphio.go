@@ -199,8 +199,8 @@ func SaveFile(path string, g *graph.Graph) error {
 
 const (
 	binMagic = "MIXG"
-	// binHeaderLen is the fixed prefix every MIXG version shares:
-	// 4-byte magic, u32 version, u64 node count, u64 edge count.
+	// binHeaderLen is the MIXG header's length: 4-byte magic, u32
+	// version (2), u64 node count, u64 edge count.
 	binHeaderLen = 24
 	// chunkEntries is the incremental-read granularity for binary
 	// payload arrays: corrupt headers fail at the first short read
@@ -208,21 +208,77 @@ const (
 	chunkEntries = 1 << 16
 )
 
+// mixgLayout is what a MIXG v2 header declares, and the one owner of
+// the layout that follows it: n+1 uint64 CSR offsets, then the 2m
+// uint32 entries of the symmetrized adjacency.
+type mixgLayout struct{ n, m uint64 }
+
+// nOff and nAdj are the lengths of the offset and adjacency arrays.
+func (l mixgLayout) nOff() int64 { return int64(l.n) + 1 }
+func (l mixgLayout) nAdj() int64 { return 2 * int64(l.m) }
+
+// adjStart is the byte offset of the adjacency array, 24+8(n+1),
+// which is 4-aligned.
+func (l mixgLayout) adjStart() int64 { return binHeaderLen + 8*l.nOff() }
+
+// size is the snapshot's length in bytes.
+func (l mixgLayout) size() int64 { return l.adjStart() + 4*l.nAdj() }
+
+// writeHeader writes the header that declares l.
+func (l mixgLayout) writeHeader(w io.Writer) error {
+	var hdr [binHeaderLen]byte
+	copy(hdr[:], binMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], 2) // version
+	binary.LittleEndian.PutUint64(hdr[8:], l.n)
+	binary.LittleEndian.PutUint64(hdr[16:], l.m)
+	_, err := w.Write(hdr[:])
+	return err
+}
+
+// checkAdjacency rejects an adjacency longer than a graph's uint32
+// CSR offsets can index. It tests m itself: 2m may wrap.
+func (l mixgLayout) checkAdjacency() error {
+	if l.m > math.MaxUint32/2 {
+		return fmt.Errorf("graphio: adjacency length 2×%d exceeds the uint32 CSR form", l.m)
+	}
+	return nil
+}
+
+// parseHeader checks a MIXG header before anything it declares is
+// allocated: the magic, version 2, the node count against
+// MaxLoadNodes, the payload against size when that is known (size ≥
+// 0; compressed and streamed input pass a negative size), and the
+// adjacency length against the uint32 CSR form.
+func parseHeader(hdr []byte, size int64) (mixgLayout, error) {
+	if string(hdr[:4]) != binMagic {
+		return mixgLayout{}, fmt.Errorf("graphio: bad magic %q", hdr[:4])
+	}
+	if ver := binary.LittleEndian.Uint32(hdr[4:]); ver != 2 {
+		return mixgLayout{}, fmt.Errorf("graphio: unsupported version %d", ver)
+	}
+	l := mixgLayout{n: binary.LittleEndian.Uint64(hdr[8:]), m: binary.LittleEndian.Uint64(hdr[16:])}
+	if l.n > MaxLoadNodes {
+		return mixgLayout{}, fmt.Errorf("graphio: node count %d exceeds load limit %d (raise graphio.MaxLoadNodes for larger graphs)",
+			l.n, MaxLoadNodes)
+	}
+	if size >= 0 && l.size() > size {
+		return mixgLayout{}, fmt.Errorf("graphio: CSR of %d nodes / %d edges needs %d bytes, file has %d",
+			l.n, l.m, l.size(), size)
+	}
+	if err := l.checkAdjacency(); err != nil {
+		return mixgLayout{}, err
+	}
+	return l, nil
+}
+
 // WriteBinary writes the compact binary CSR snapshot (version 2):
-// the shared header, then the n+1 CSR offsets as uint64s, then the
-// 2m symmetrized adjacency entries as uint32s. Loading a v2 snapshot
+// the header, then the n+1 CSR offsets as uint64s, then the 2m
+// symmetrized adjacency entries as uint32s. Loading a v2 snapshot
 // validates and adopts the arrays directly — no re-sorting — so
 // large generated graphs reload in O(m).
 func WriteBinary(w io.Writer, g *graph.Graph) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binMagic); err != nil {
-		return err
-	}
-	hdr := make([]byte, binHeaderLen-4)
-	binary.LittleEndian.PutUint32(hdr[0:], 2) // version
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(g.NumNodes()))
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(g.NumEdges()))
-	if _, err := bw.Write(hdr); err != nil {
+	if err := (mixgLayout{uint64(g.NumNodes()), uint64(g.NumEdges())}).writeHeader(bw); err != nil {
 		return err
 	}
 	// The graph's own arrays stream out as they are, offsets widened
@@ -248,50 +304,24 @@ func WriteBinary(w io.Writer, g *graph.Graph) error {
 	return bw.Flush()
 }
 
-// readBinary reads a MIXG version 2 snapshot. size is the
-// total input length in bytes when known, or negative when it is not
+// readBinary reads a MIXG version 2 snapshot. size is the total
+// input length in bytes when known, or negative when it is not
 // (compressed or streamed input); a known size caps the declared
-// counts before anything is allocated.
+// counts before anything is allocated. The CSR payload is validated
+// (monotone offsets, sorted in-range symmetric adjacency) and adopted
+// without rebuilding. The offsets are narrowed to the graph's compact
+// uint32 form as they stream past, so the load allocates exactly the
+// arrays the graph keeps — no widening copy.
 func readBinary(r io.Reader, size int64) (*graph.Graph, error) {
 	hdr := make([]byte, binHeaderLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("graphio: short binary header: %w", err)
 	}
-	if string(hdr[:4]) != binMagic {
-		return nil, fmt.Errorf("graphio: bad magic %q", hdr[:4])
+	l, err := parseHeader(hdr, size)
+	if err != nil {
+		return nil, err
 	}
-	ver := binary.LittleEndian.Uint32(hdr[4:])
-	n := binary.LittleEndian.Uint64(hdr[8:])
-	m := binary.LittleEndian.Uint64(hdr[16:])
-	if n > MaxLoadNodes {
-		return nil, fmt.Errorf("graphio: node count %d exceeds load limit %d (raise graphio.MaxLoadNodes for larger graphs)",
-			n, MaxLoadNodes)
-	}
-	if ver != 2 {
-		return nil, fmt.Errorf("graphio: unsupported version %d", ver)
-	}
-	return readBinaryV2(r, n, m, size)
-}
-
-// readBinaryV2 reads the CSR payload: n+1 uint64 offsets then 2m
-// uint32 adjacency entries, validated (monotone offsets, sorted
-// in-range symmetric adjacency) and adopted without rebuilding. The
-// offsets are narrowed to the graph's compact uint32 form as they
-// stream past (the adjacency length is bounded by 2m < 2³² for every
-// graph this package's node cap admits), so the load allocates
-// exactly the arrays the graph keeps — no widening copy.
-func readBinaryV2(r io.Reader, n, m uint64, size int64) (*graph.Graph, error) {
-	nOff, nAdj := graph.CSRSizes(int64(n), int64(m))
-	if size >= 0 {
-		need := int64(binHeaderLen) + 8*nOff + 4*nAdj
-		if need > size {
-			return nil, fmt.Errorf("graphio: CSR of %d nodes / %d edges needs %d bytes, file has %d",
-				n, m, need, size)
-		}
-	}
-	if uint64(nAdj) > uint64(^uint32(0)) {
-		return nil, fmt.Errorf("graphio: adjacency length %d exceeds the uint32 CSR form", nAdj)
-	}
+	nOff, nAdj := l.nOff(), l.nAdj()
 	offsets := make([]uint32, 0, min(uint64(nOff), chunkEntries))
 	buf := make([]byte, 8*chunkEntries)
 	for read := int64(0); read < nOff; {

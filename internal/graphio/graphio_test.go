@@ -156,6 +156,22 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestBinaryRejectsWrappedEdgeCount: an edge count whose doubled
+// adjacency length wraps uint64 (2·(2⁶³+5) ≡ 10) must not pass the
+// uint32 cap and load the 10-entry payload behind it.
+func TestBinaryRejectsWrappedEdgeCount(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, gen.Ring(5)); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	binary.LittleEndian.PutUint64(data[16:], 1<<63+5)
+	if _, err := readBinary(bytes.NewReader(data), -1); err == nil ||
+		!strings.Contains(err.Error(), "uint32 CSR form") {
+		t.Fatalf("wrapped edge count: %v", err)
+	}
+}
+
 func TestBinaryRejectsBadCSROffsets(t *testing.T) {
 	g := gen.Ring(10) // n=10, m=10, degree 2 everywhere
 	var buf bytes.Buffer

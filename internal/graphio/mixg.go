@@ -93,35 +93,18 @@ func openMapped(path string) (*MappedGraph, error) {
 	}
 	size := st.Size()
 	hdr := make([]byte, binHeaderLen)
-	if n, err := f.ReadAt(hdr, 0); err != nil || n < binHeaderLen {
-		return nil, nil // too short for a MIXG header: edge list or corrupt; fall back
+	if n, err := f.ReadAt(hdr, 0); err != nil || n < binHeaderLen || string(hdr[:4]) != binMagic {
+		return nil, nil // too short for a MIXG header, or not one: edge list, gzip or corrupt; fall back
 	}
-	if string(hdr[:4]) != binMagic {
-		return nil, nil // not binary: edge-list text (or gzip); fall back
-	}
-	if ver := binary.LittleEndian.Uint32(hdr[4:]); ver != 2 {
-		return nil, fmt.Errorf("graphio: unsupported version %d", ver)
-	}
-	n := binary.LittleEndian.Uint64(hdr[8:])
-	m := binary.LittleEndian.Uint64(hdr[16:])
-	if n > MaxLoadNodes {
-		return nil, fmt.Errorf("graphio: node count %d exceeds load limit %d (raise graphio.MaxLoadNodes for larger graphs)",
-			n, MaxLoadNodes)
-	}
-	nOff, nAdj := graph.CSRSizes(int64(n), int64(m))
-	need := int64(binHeaderLen) + 8*nOff + 4*nAdj
-	if need > size {
-		return nil, fmt.Errorf("graphio: CSR of %d nodes / %d edges needs %d bytes, file has %d",
-			n, m, need, size)
-	}
-	if uint64(nAdj) > uint64(^uint32(0)) {
-		return nil, fmt.Errorf("graphio: adjacency length %d exceeds the uint32 CSR form", nAdj)
+	l, err := parseHeader(hdr, size)
+	if err != nil {
+		return nil, err
 	}
 	data, err := mmapRead(f, size)
 	if err != nil {
 		return nil, fmt.Errorf("graphio: mmap %s: %w", path, err)
 	}
-	g, err := adoptMapped(data, nOff, nAdj)
+	g, err := adoptMapped(data, l)
 	if err != nil {
 		munmap(data)
 		return nil, err
@@ -131,7 +114,8 @@ func openMapped(path string) (*MappedGraph, error) {
 
 // adoptMapped builds the graph over a mapped v2 payload: offsets
 // narrowed out of the file, adjacency aliased in place.
-func adoptMapped(data []byte, nOff, nAdj int64) (*graph.Graph, error) {
+func adoptMapped(data []byte, l mixgLayout) (*graph.Graph, error) {
+	nOff, nAdj := l.nOff(), l.nAdj()
 	offsets := make([]uint32, nOff)
 	offBytes := data[binHeaderLen:]
 	for i := int64(0); i < nOff; i++ {
@@ -144,8 +128,7 @@ func adoptMapped(data []byte, nOff, nAdj int64) (*graph.Graph, error) {
 	}
 	var neighbors []graph.NodeID
 	if nAdj > 0 {
-		adjOff := int64(binHeaderLen) + 8*nOff // 24+8(n+1): 4-aligned
-		neighbors = unsafe.Slice((*graph.NodeID)(unsafe.Pointer(&data[adjOff])), nAdj)
+		neighbors = unsafe.Slice((*graph.NodeID)(unsafe.Pointer(&data[l.adjStart()])), nAdj)
 	}
 	g, err := graph.FromCSR32(offsets, neighbors)
 	if err != nil {
@@ -205,37 +188,26 @@ func WriteMIXGStreamed(path string, n uint64, stream EdgeStream) error {
 	if err != nil {
 		return err
 	}
-	if _, nAdj := graph.CSRSizes(int64(n), m); uint64(nAdj) > uint64(^uint32(0)) {
-		return fmt.Errorf("graphio: adjacency length %d exceeds the uint32 CSR form", nAdj)
+	l := mixgLayout{n: n, m: uint64(m)}
+	if err := l.checkAdjacency(); err != nil {
+		return err
 	}
 	return atomicfile.Write(path, 0o644, func(f *os.File) error {
-		return placeMIXG(f, n, m, deg, stream)
+		return placeMIXG(f, l, deg, stream)
 	})
 }
 
 // placeMIXG writes the snapshot of WriteMIXGStreamed's pass 2 into f:
 // header and offsets from the pass-1 degrees deg (reused as placement
 // cursors), then the adjacency scattered from a replay of stream.
-func placeMIXG(f *os.File, n uint64, m int64, deg []uint32, stream EdgeStream) error {
-	nOff, nAdj := graph.CSRSizes(int64(n), m)
+func placeMIXG(f *os.File, l mixgLayout, deg []uint32, stream EdgeStream) error {
+	n, m, nAdj := l.n, int64(l.m), l.nAdj()
 	// Header and offsets stream sequentially.
 	bw := bufio.NewWriterSize(f, 1<<20)
-	if _, err := bw.WriteString(binMagic); err != nil {
+	if err := l.writeHeader(bw); err != nil {
 		return err
 	}
 	var b8 [8]byte
-	binary.LittleEndian.PutUint32(b8[:4], 2)
-	if _, err := bw.Write(b8[:4]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(b8[:], n)
-	if _, err := bw.Write(b8[:]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(b8[:], uint64(m))
-	if _, err := bw.Write(b8[:]); err != nil {
-		return err
-	}
 	// cursor[v] doubles as the running CSR offset: prefix sums now,
 	// per-placement increments in pass 2.
 	cursor := deg
@@ -257,11 +229,10 @@ func placeMIXG(f *os.File, n uint64, m int64, deg []uint32, stream EdgeStream) e
 		return err
 	}
 
-	total := int64(binHeaderLen) + 8*nOff + 4*nAdj
+	total, adjOff := l.size(), l.adjStart()
 	if err := f.Truncate(total); err != nil {
 		return err
 	}
-	adjOff := int64(binHeaderLen) + 8*nOff
 
 	var adj []graph.NodeID // the scatter target, file-backed when mmap works
 	var mapped []byte

@@ -114,7 +114,11 @@ func TestSampledPathLength(t *testing.T) {
 func TestGiniMonotoneUnderHubGrowth(t *testing.T) {
 	// Adding a hub to a regular structure increases inequality.
 	ring := Degrees(gen.Ring(50)).Gini
-	withHub := gen.WithPendants(gen.Star(50), 0, rng(9)) // star is the hub extreme
+	// Pendants on a lone node make the star K_{1,50}, the hub extreme.
+	b := graph.NewBuilder(50)
+	b.AddNode(0)
+	gen.AddPendants(b, 50, rng(9))
+	withHub := b.Build()
 	if Degrees(withHub).Gini <= ring {
 		t.Fatalf("hub Gini %v not above ring %v", Degrees(withHub).Gini, ring)
 	}

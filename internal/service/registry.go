@@ -77,10 +77,7 @@ func (e *Entry) View() *Entry {
 	if e.view != nil && e.viewVer == ver {
 		return e.view
 	}
-	lcc := g
-	if !graph.IsConnected(g) {
-		lcc, _ = graph.LargestComponent(g)
-	}
+	lcc, _ := graph.LargestComponent(g)
 	e.view = &Entry{
 		Name:   e.Name,
 		Graph:  lcc,
@@ -134,13 +131,9 @@ func (r *Registry) AddGraph(name, origin string, g *graph.Graph) (*Entry, error)
 	if name == "" {
 		return nil, fmt.Errorf("service: empty graph name")
 	}
-	// Connected graphs are served as-is: LargestComponent would copy
-	// the whole CSR, which both wastes memory and would sever a
-	// memory-mapped graph from its file backing.
-	lcc := g
-	if !graph.IsConnected(g) {
-		lcc, _ = graph.LargestComponent(g)
-	}
+	// A connected graph comes back as itself, so a memory-mapped one
+	// stays file-backed.
+	lcc, _ := graph.LargestComponent(g)
 	if lcc.NumNodes() < 2 {
 		return nil, fmt.Errorf("service: graph %q: largest component too small to measure", name)
 	}

@@ -13,6 +13,31 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# start_mixtimed DIR LABEL TRIES [FLAG...] builds cmd/mixtimed into DIR
+# (once per DIR), starts it in the background on a random port with
+# the FLAGs and its output in DIR/LABEL.log, and waits up to TRIES
+# tenths of a second for it to publish its address to DIR/addr. It
+# sets mixtimed_pid, for the caller's cleanup, and mixtimed_addr; a
+# daemon that never publishes fails the gate with its log.
+start_mixtimed() {
+	md_dir=$1 md_label=$2 md_tries=$3
+	shift 3
+	[ -x "$md_dir/mixtimed" ] || go build -o "$md_dir/mixtimed" ./cmd/mixtimed
+	rm -f "$md_dir/addr"
+	"$md_dir/mixtimed" "$@" -addr 127.0.0.1:0 -addr-file "$md_dir/addr" >"$md_dir/$md_label.log" 2>&1 &
+	mixtimed_pid=$!
+	while [ ! -s "$md_dir/addr" ]; do
+		md_tries=$((md_tries - 1))
+		if [ "$md_tries" -lt 0 ]; then
+			echo "mixtimed ($md_label) never published its address" >&2
+			cat "$md_dir/$md_label.log" >&2
+			exit 1
+		fi
+		sleep 0.1
+	done
+	mixtimed_addr=$(cat "$md_dir/addr")
+}
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -185,29 +210,16 @@ echo "== mixtimed e2e smoke =="
 # fingerprint means exactly one solve no matter how many requests.
 smoke_dir=$(mktemp -d)
 cleanup_smoke() {
-	if [ -n "${smoke_pid:-}" ]; then
-		kill "$smoke_pid" 2>/dev/null || true
-		wait "$smoke_pid" 2>/dev/null || true
+	if [ -n "${mixtimed_pid:-}" ]; then
+		kill "$mixtimed_pid" 2>/dev/null || true
+		wait "$mixtimed_pid" 2>/dev/null || true
 	fi
 	rm -rf "$smoke_dir"
 }
 trap cleanup_smoke EXIT
-go build -o "$smoke_dir/mixtimed" ./cmd/mixtimed
 go build -o "$smoke_dir/mixload" ./cmd/mixload
-"$smoke_dir/mixtimed" -datasets physics-1 -scale 0.002 -mutable physics-1 \
-	-addr 127.0.0.1:0 -addr-file "$smoke_dir/addr" >"$smoke_dir/daemon.log" 2>&1 &
-smoke_pid=$!
-tries=0
-while [ ! -s "$smoke_dir/addr" ]; do
-	tries=$((tries + 1))
-	if [ "$tries" -gt 100 ]; then
-		echo "mixtimed never published its address" >&2
-		cat "$smoke_dir/daemon.log" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-addr=$(cat "$smoke_dir/addr")
+start_mixtimed "$smoke_dir" smoke 100 -datasets physics-1 -scale 0.002 -mutable physics-1
+addr=$mixtimed_addr
 "$smoke_dir/mixload" -addr "$addr" -op slem -n 40 -c 8 -distinct 1
 solves=$(curl -s "http://$addr/stats" | grep -o '"service_solves": *[0-9]*' | grep -o '[0-9]*$')
 if [ "${solves:-0}" != "1" ]; then
@@ -288,9 +300,9 @@ if [ "$((solves_after - solves_before))" != "1" ]; then
 	exit 1
 fi
 echo "mutation smoke: evicted $evicted, re-solved once under a new fingerprint"
-kill -INT "$smoke_pid"
-wait "$smoke_pid" || { echo "mixtimed did not shut down cleanly" >&2; exit 1; }
-smoke_pid=""
+kill -INT "$mixtimed_pid"
+wait "$mixtimed_pid" || { echo "mixtimed did not shut down cleanly" >&2; exit 1; }
+mixtimed_pid=""
 cleanup_smoke
 trap - EXIT
 echo "burst ok, 1 solve, graceful shutdown"
@@ -312,31 +324,18 @@ echo "== chaos smoke (fault injection + crash recovery) =="
 # new solves: answers survive the crash.
 chaos_dir=$(mktemp -d)
 cleanup_chaos() {
-	if [ -n "${chaos_pid:-}" ]; then
-		kill -9 "$chaos_pid" 2>/dev/null || true
-		wait "$chaos_pid" 2>/dev/null || true
+	if [ -n "${mixtimed_pid:-}" ]; then
+		kill -9 "$mixtimed_pid" 2>/dev/null || true
+		wait "$mixtimed_pid" 2>/dev/null || true
 	fi
 	rm -rf "$chaos_dir"
 }
 trap cleanup_chaos EXIT
-go build -o "$chaos_dir/mixtimed" ./cmd/mixtimed
 go build -o "$chaos_dir/mixload" ./cmd/mixload
-"$chaos_dir/mixtimed" -datasets physics-1 -scale 0.002 \
+start_mixtimed "$chaos_dir" chaos 100 -datasets physics-1 -scale 0.002 \
 	-pool 2 -max-queue 2 -max-queue-wait 100ms \
-	-cache-dir "$chaos_dir/cache" -inject 'seed=7,panic=1:4,latency=40ms' \
-	-addr 127.0.0.1:0 -addr-file "$chaos_dir/addr" >"$chaos_dir/daemon.log" 2>&1 &
-chaos_pid=$!
-tries=0
-while [ ! -s "$chaos_dir/addr" ]; do
-	tries=$((tries + 1))
-	if [ "$tries" -gt 100 ]; then
-		echo "mixtimed (chaos) never published its address" >&2
-		cat "$chaos_dir/daemon.log" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-chaos_addr=$(cat "$chaos_dir/addr")
+	-cache-dir "$chaos_dir/cache" -inject 'seed=7,panic=1:4,latency=40ms'
+chaos_addr=$mixtimed_addr
 # 16 workers over capacity 4 (pool+queue) guarantees sheds; the capped
 # always-fire panic spec guarantees exactly 4 contained panics; the
 # retry budget is generous enough that every request finishes. A
@@ -379,25 +378,12 @@ while :; do
 	fi
 	sleep 0.1
 done
-kill -9 "$chaos_pid"
-wait "$chaos_pid" 2>/dev/null || true
-chaos_pid=""
-rm -f "$chaos_dir/addr"
-"$chaos_dir/mixtimed" -datasets physics-1 -scale 0.002 \
-	-cache-dir "$chaos_dir/cache" \
-	-addr 127.0.0.1:0 -addr-file "$chaos_dir/addr" >"$chaos_dir/daemon2.log" 2>&1 &
-chaos_pid=$!
-tries=0
-while [ ! -s "$chaos_dir/addr" ]; do
-	tries=$((tries + 1))
-	if [ "$tries" -gt 100 ]; then
-		echo "mixtimed (chaos restart) never published its address" >&2
-		cat "$chaos_dir/daemon2.log" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-chaos_addr=$(cat "$chaos_dir/addr")
+kill -9 "$mixtimed_pid"
+wait "$mixtimed_pid" 2>/dev/null || true
+mixtimed_pid=""
+start_mixtimed "$chaos_dir" chaos-restart 100 -datasets physics-1 -scale 0.002 \
+	-cache-dir "$chaos_dir/cache"
+chaos_addr=$mixtimed_addr
 replay=$(curl -s -X POST "http://$chaos_addr/v1/query" -d "$chaos_q")
 if ! printf '%s' "$replay" | grep -q '"cache_hit": *true'; then
 	echo "chaos smoke: marker query missed the cache after the crash restart" >&2
@@ -412,9 +398,9 @@ if [ "${resolves:-0}" != "0" ]; then
 	echo "chaos smoke: restart answered with ${resolves:-?} new solves, want exactly 0" >&2
 	exit 1
 fi
-kill -INT "$chaos_pid"
-wait "$chaos_pid" || { echo "mixtimed (chaos restart) did not shut down cleanly" >&2; exit 1; }
-chaos_pid=""
+kill -INT "$mixtimed_pid"
+wait "$mixtimed_pid" || { echo "mixtimed (chaos restart) did not shut down cleanly" >&2; exit 1; }
+mixtimed_pid=""
 cleanup_chaos
 trap - EXIT
 echo "chaos ok: $shed shed, $retried retried, $panics panics contained, crash replay hit with 0 solves"
@@ -442,32 +428,19 @@ echo "== 1M-node streamed/mmap scale smoke =="
 # rematerializes the graph or the edge list in RAM fails loudly.
 scale_dir=$(mktemp -d)
 cleanup_scale() {
-	if [ -n "${scale_pid:-}" ]; then
-		kill "$scale_pid" 2>/dev/null || true
-		wait "$scale_pid" 2>/dev/null || true
+	if [ -n "${mixtimed_pid:-}" ]; then
+		kill "$mixtimed_pid" 2>/dev/null || true
+		wait "$mixtimed_pid" 2>/dev/null || true
 	fi
 	rm -rf "$scale_dir"
 }
 trap cleanup_scale EXIT
 go build -o "$scale_dir/gensocial" ./cmd/gensocial
-go build -o "$scale_dir/mixtimed" ./cmd/mixtimed
 mkdir "$scale_dir/graphs"
 "$scale_dir/gensocial" -model ringer -n 1000000 -k 6 -p 1e-6 -seed 7 \
 	-stream -o "$scale_dir/graphs/ringer1m.mixg"
-"$scale_dir/mixtimed" -graphs "$scale_dir/graphs" -mmap \
-	-addr 127.0.0.1:0 -addr-file "$scale_dir/addr" >"$scale_dir/daemon.log" 2>&1 &
-scale_pid=$!
-tries=0
-while [ ! -s "$scale_dir/addr" ]; do
-	tries=$((tries + 1))
-	if [ "$tries" -gt 200 ]; then
-		echo "mixtimed (mmap) never published its address" >&2
-		cat "$scale_dir/daemon.log" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-scale_addr=$(cat "$scale_dir/addr")
+start_mixtimed "$scale_dir" mmap 200 -graphs "$scale_dir/graphs" -mmap
+scale_addr=$mixtimed_addr
 scale_json=$(curl -s -X POST "http://$scale_addr/v1/query" \
 	-d '{"op":"distmix","graph":"ringer1m","params":{"seed":1,"sources":2,"eps":0.25,"max_walk":30,"dist_walks":2,"dist_rounds":30}}')
 scale_tau=$(printf '%s' "$scale_json" | grep -o '"tau": *[0-9]*' | head -1 | grep -o '[0-9]*$')
@@ -476,14 +449,14 @@ if [ -z "${scale_tau:-}" ]; then
 	echo "$scale_json" >&2
 	exit 1
 fi
-hwm_kb=$(grep VmHWM "/proc/$scale_pid/status" | grep -o '[0-9]*')
+hwm_kb=$(grep VmHWM "/proc/$mixtimed_pid/status" | grep -o '[0-9]*')
 if [ "${hwm_kb:-0}" -gt 524288 ]; then
 	echo "scale smoke: daemon peak RSS ${hwm_kb} kB exceeds the 512 MiB budget" >&2
 	exit 1
 fi
-kill -INT "$scale_pid"
-wait "$scale_pid" || { echo "mixtimed (mmap) did not shut down cleanly" >&2; exit 1; }
-scale_pid=""
+kill -INT "$mixtimed_pid"
+wait "$mixtimed_pid" || { echo "mixtimed (mmap) did not shut down cleanly" >&2; exit 1; }
+mixtimed_pid=""
 cleanup_scale
 trap - EXIT
 echo "1M nodes streamed, mapped, distmix tau=$scale_tau, peak RSS ${hwm_kb} kB (budget 524288)"
